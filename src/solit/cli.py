@@ -29,6 +29,7 @@ from .genchi2 import ltz_quantile_for_weights, mc_tail_quantiles
 from .harness import (
     ExperimentConfig,
     SELECTOR_NAMES,
+    _pairwise_distance_table,
     fit_rate,
     read_results,
     run_experiment,
@@ -240,8 +241,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
         thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
         rows = np.vstack([estimate(problem, data, spec, a) for a in grid.alphas])
-        diff = rows[:, None, :] - rows[None, :, :]
-        bhat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        bhat = _pairwise_distance_table(rows)
         alpha = float(grid.alphas[solit_select(bhat, thresholds)])
     coeffs = estimate(problem, data, spec, alpha)
     domain = (0.0, 1.0) if opts["problem"] == "antiderivative" else (-math.pi, math.pi)

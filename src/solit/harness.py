@@ -3,9 +3,15 @@
 For every noise level the runner builds the candidate grid and thresholds
 once, computes the deterministic tables (pairwise biases and variances, the
 oracle index and the oracle-inequality constants), then replays seeded
-realizations: each run evaluates all candidate estimators, the empirical
-pairwise-distance table, and every requested selector's squared error.
-Everything is reproducible from the master seed.
+realizations in blocks of runs.  Each realization is drawn by its own
+``simulate_data`` call with its own seed, so the data are bit-identical
+however the runs are blocked.  Per block the runner evaluates every
+candidate's squared error exactly, forms the empirical pairwise distances in
+weight space (squared weight differences against squared data, one matrix
+product per candidate row), and applies every requested selector to the
+whole block.  Blocks are sized by a fixed element budget, so memory does not
+grow with the number of runs.  Everything is reproducible from the master
+seed.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from .sequence_model import SpectralProblem, simulate_data
 from .testproblems import get_problem
 
 SELECTOR_NAMES = ("solit", "lepskii", "oracle", "optimal", "noise-level")
+
+# Runs are processed in blocks sized so that each per-block temporary, such as
+# the (block, k, n) estimator errors, holds at most about this many float64
+# values (8 MiB), whatever the number of runs.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -105,13 +116,36 @@ def _run_seed(master: int, sigma_index: int, run_index: int) -> int:
 
 
 def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
-    """Full symmetric table of Euclidean distances between matrix rows.
+    """Full symmetric table of Euclidean distances between the rows of a
+    (k, n) matrix.
 
-    Differences are formed directly (no Gram shortcut): distances far below
-    the row norms would otherwise drown in cancellation.
+    Built one row block at a time, ``rows[i+1:] - rows[i]``, so no (k, k, n)
+    difference tensor is held.  Differences are formed directly (no Gram
+    shortcut): distances far below the row norms would otherwise drown in
+    cancellation.
     """
-    diff = rows[:, None, :] - rows[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    k = rows.shape[0]
+    table = np.zeros((k, k))
+    for i in range(k - 1):
+        diff = rows[i + 1 :] - rows[i]
+        table[i, i + 1 :] = np.sqrt(np.einsum("jk,jk->j", diff, diff))
+    return table + table.T
+
+
+def _block_distances(y_sq: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Empirical distance tables of a block of realizations, upper triangle
+    only (zero elsewhere): bhat[b, m1, m2] = ||(W[m1] - W[m2]) * y_b||.
+
+    The squared distances are sum_j (W[m1,j] - W[m2,j])^2 y_bj^2, one GEMM
+    per row m1.  The weight differences are formed before squaring, so there
+    is no Gram-type cancellation.
+    """
+    k = w_rows.shape[0]
+    bhat = np.zeros((y_sq.shape[0], k, k))
+    for m1 in range(k - 1):
+        d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
+        bhat[:, m1, m1 + 1 :] = np.sqrt(y_sq @ d2.T)
+    return bhat
 
 
 def deterministic_tables(
@@ -160,36 +194,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "noise-level": noise_level_select(grid, sigma),
         }
 
-        truth = problem.truth
-        sq_errors = {name: np.empty(config.runs) for name in config.selectors}
-        histograms = {name: np.zeros(mm + 1, dtype=int) for name in config.selectors}
-        r_runs = np.empty(config.runs)
-        for r in range(config.runs):
-            try:
-                if config.noise_free:
-                    y = problem.data_truth
+        err_sq = np.empty((config.runs, mm + 1))
+        picks = {name: np.empty(config.runs, dtype=int) for name in config.selectors}
+        block = max(1, _BLOCK_ELEMENTS // w_rows.size)
+        for start in range(0, config.runs, block):
+            stop = min(start + block, config.runs)
+            runs = slice(start, stop)
+            if config.noise_free:
+                y = np.broadcast_to(problem.data_truth, (stop - start, lam.size))
+            else:
+                y = np.stack(
+                    [
+                        simulate_data(problem, sigma, _run_seed(config.seed, si, r)).y
+                        for r in range(start, stop)
+                    ]
+                )
+            diff = w_rows * y[:, None, :]
+            diff -= problem.truth
+            err_sq[runs] = np.einsum("bij,bij->bi", diff, diff)
+            del diff  # freed before the distances allocate theirs
+            bhat = _block_distances(y**2, w_rows)
+            for name in config.selectors:
+                if name == "solit":
+                    picks[name][runs] = solit_select(bhat, thresholds)
+                elif name == "lepskii":
+                    picks[name][runs] = lepskii_select(bhat, grid, sigma, config.kappa_tune)
+                elif name == "optimal":
+                    picks[name][runs] = optimal_select(err_sq[runs])
                 else:
-                    y = simulate_data(problem, sigma, _run_seed(config.seed, si, r)).y
-                f_rows = w_rows * y
-                bhat = _pairwise_distance_table(f_rows)
-                diff = f_rows - truth
-                err_sq = np.einsum("ij,ij->i", diff, diff)
-                for name in config.selectors:
-                    if name == "solit":
-                        idx = solit_select(bhat, thresholds)
-                    elif name == "lepskii":
-                        idx = lepskii_select(bhat, grid, sigma, config.kappa_tune)
-                    elif name == "optimal":
-                        idx = optimal_select(err_sq)
-                    else:
-                        idx = fixed_choices[name]
-                    sq_errors[name][r] = err_sq[idx]
-                    histograms[name][idx] += 1
-                r_runs[r] = err_sq[m_star]
-            except FloatingPointError as exc:  # pragma: no cover
-                raise RuntimeError(
-                    f"numeric failure in run {r} at sigma index {si} (sigma={sigma:g})"
-                ) from exc
+                    picks[name][runs] = fixed_choices[name]
+        every_run = np.arange(config.runs)
+        sq_errors = {name: err_sq[every_run, idx] for name, idx in picks.items()}
+        histograms = {
+            name: np.bincount(idx, minlength=mm + 1) for name, idx in picks.items()
+        }
+        r_runs = err_sq[:, m_star]
 
         summaries = {}
         for name in config.selectors:

@@ -74,17 +74,26 @@ def build_thresholds(
     return ThresholdTable(kappa=kappa, x=x, beta=beta, gamma=gamma)
 
 
-def solit_select(bhat: np.ndarray, thresholds: ThresholdTable) -> int:
+def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarray:
+    """Smallest m1 with bhat[..., m1, m2] <= limits[m1, m2] for every m2 > m1,
+    for each (k, k) matrix of a stack; the last row is vacuously accepted.
+    ``limits`` broadcasts against one (k, k) matrix.
+    A 2-D table gives an int, a stack an integer array of its leading shape."""
+    bhat = np.asarray(bhat, dtype=float)
+    k = bhat.shape[-1]
+    upper = np.triu(np.ones((k, k), dtype=bool), k=1)
+    accepted = np.all((bhat <= limits) | ~upper, axis=-1)
+    idx = np.argmax(accepted, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def solit_select(bhat: np.ndarray, thresholds: ThresholdTable) -> int | np.ndarray:
     """Smallest m1 whose estimator stays within threshold of every finer
     candidate: max_{m2 > m1} (bhat_{m1,m2} - kappa_{m1,m2}) <= 0.  When no
     m1 < m_max qualifies the maximum over the empty set at m_max is vacuous,
-    so m_max is returned."""
-    mm = thresholds.m_max
-    bhat = np.asarray(bhat, dtype=float)
-    for m1 in range(mm):
-        if np.all(bhat[m1, m1 + 1 :] <= thresholds.kappa[m1, m1 + 1 :]):
-            return m1
-    return mm
+    so m_max is returned.  ``bhat`` may be a stack (..., k, k) of tables, one
+    per realization; the result then holds one index per table."""
+    return _first_accepted_row(bhat, thresholds.kappa)
 
 
 def oracle_select(b: np.ndarray, v: np.ndarray, beta: float) -> int:
@@ -110,29 +119,27 @@ def lepskii_select(
     grid: CandidateGrid,
     sigma: float | None = None,
     kappa_tune: float = 1.0,
-) -> int:
+) -> int | np.ndarray:
     """Classical balancing rule: smallest m1 with
     bhat_{m1,m2} <= 4 * kappa_tune * mu_{m2} for all m2 > m1, where
-    mu_k = sigma * sqrt(V(alpha_k))."""
+    mu_k = sigma * sqrt(V(alpha_k)).  ``bhat`` may be a stack (..., k, k) of
+    tables; the result then holds one index per table."""
     if kappa_tune < 1:
         raise InvalidParameterError("kappa_tune must be at least 1")
     mu = np.sqrt(grid.v)
     if sigma is not None and sigma != grid.sigma:
         mu = mu * (sigma / grid.sigma)
-    mm = grid.m_max
-    bhat = np.asarray(bhat, dtype=float)
-    for m1 in range(mm):
-        if np.all(bhat[m1, m1 + 1 :] <= 4.0 * kappa_tune * mu[m1 + 1 :]):
-            return m1
-    return mm
+    return _first_accepted_row(bhat, 4.0 * kappa_tune * mu)
 
 
-def optimal_select(errors) -> int:
-    """Index of the smallest error; ties break to the smallest index."""
+def optimal_select(errors) -> int | np.ndarray:
+    """Index of the smallest error; ties break to the smallest index.  A stack
+    (..., k) of error lists gives one index per list."""
     err = np.asarray(errors, dtype=float)
     if err.size == 0:
         raise InvalidParameterError("error list must be nonempty")
-    return int(np.argmin(err))
+    idx = np.argmin(err, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def noise_level_select(grid: CandidateGrid, sigma: float) -> int:

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,31 @@ from solit import (
     ExperimentConfig,
     FilterSpec,
     InvalidParameterError,
+    build_grid,
+    build_thresholds,
     fit_rate,
+    get_problem,
     read_results,
     run_experiment,
+    simulate_data,
     verify_oracle_inequality,
     write_results,
 )
-from solit.harness import deterministic_tables
-from solit.selectors import oracle_select
+from solit import harness
+from solit.harness import (
+    _block_distances,
+    _pairwise_distance_table,
+    _run_seed,
+    deterministic_tables,
+)
+from solit.selectors import (
+    lepskii_select,
+    noise_level_select,
+    optimal_select,
+    oracle_select,
+    solit_select,
+)
+from solit.sequence_model import estimator_weights
 from conftest import bias_norms
 
 SMALL = dict(problem="antiderivative", filter_kind="tikhonov", runs=8, sigma_count=3,
@@ -123,6 +141,131 @@ class TestRunExperiment:
     def test_sigma_grid_validation(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(**{**SMALL, "sigma_start": 1e-3, "sigma_stop": 1e-2})
+
+
+def full_tensor_distance_table(rows):
+    """Distance table through the full (k, k, n) difference tensor."""
+    diff = rows[:, None, :] - rows[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def per_run_reference(config):
+    """The Monte Carlo loop one realization at a time: the full distance tensor
+    and one call of each selector per run.  Returns, per noise level, the
+    selectors' MSEs, their histograms and R_{m*}."""
+    problem = get_problem(config.problem, **config.problem_params)
+    spec = FilterSpec.from_name(config.filter_kind)
+    cells = []
+    for si, sigma in enumerate(config.sigma_grid()):
+        sigma = float(sigma)
+        grid = build_grid(problem, spec, sigma, config.theta)
+        thresholds = build_thresholds(problem, spec, grid, config.beta, config.gamma)
+        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        m_star = oracle_select(*deterministic_tables(problem, spec, grid), config.beta)
+        fixed = {"oracle": m_star, "noise-level": noise_level_select(grid, sigma)}
+        errors = {name: [] for name in config.selectors}
+        hists = {name: np.zeros(grid.m_max + 1, dtype=int) for name in config.selectors}
+        r_runs = []
+        for r in range(config.runs):
+            if config.noise_free:
+                y = problem.data_truth
+            else:
+                y = simulate_data(problem, sigma, _run_seed(config.seed, si, r)).y
+            f_rows = w_rows * y
+            bhat = full_tensor_distance_table(f_rows)
+            diff = f_rows - problem.truth
+            err_sq = np.einsum("ij,ij->i", diff, diff)
+            for name in config.selectors:
+                if name == "solit":
+                    idx = solit_select(bhat, thresholds)
+                elif name == "lepskii":
+                    idx = lepskii_select(bhat, grid, sigma, config.kappa_tune)
+                elif name == "optimal":
+                    idx = optimal_select(err_sq)
+                else:
+                    idx = fixed[name]
+                errors[name].append(err_sq[idx])
+                hists[name][idx] += 1
+            r_runs.append(err_sq[m_star])
+        mses = {name: math.fsum(vals) / config.runs for name, vals in errors.items()}
+        cells.append((mses, hists, math.fsum(r_runs) / config.runs))
+    return cells
+
+
+class TestPairwiseDistanceTable:
+    def test_random_rows_match_full_tensor(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 5, 17):
+            for n in (1, 7, 300):
+                rows = rng.standard_normal((k, n)) * rng.uniform(1e-6, 1e3, (k, 1))
+                assert np.array_equal(
+                    _pairwise_distance_table(rows), full_tensor_distance_table(rows)
+                )
+
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_grid_weight_rows_match_full_tensor(self, name, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec("tikhonov")
+        grid = build_grid(problem, spec, sigma=1e-4, theta=2.0)
+        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        for rows in (w_rows, w_rows * problem.data_truth):
+            assert np.array_equal(
+                _pairwise_distance_table(rows), full_tensor_distance_table(rows)
+            )
+
+    def test_single_row(self):
+        table = _pairwise_distance_table(np.ones((1, 4)))
+        assert np.array_equal(table, np.zeros((1, 1)))
+
+
+class TestBlockedRuns:
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_block_distances_match_difference_formula(self, name, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec("tikhonov")
+        grid = build_grid(problem, spec, sigma=1e-4, theta=2.0)
+        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        ys = np.stack([simulate_data(problem, 1e-4, seed).y for seed in range(4)])
+        bhat = _block_distances(ys**2, w_rows)
+        upper = np.triu(np.ones(bhat.shape[1:], dtype=bool), k=1)
+        for table, y in zip(bhat, ys):
+            want = full_tensor_distance_table(w_rows * y)
+            np.testing.assert_allclose(table[upper], want[upper], rtol=1e-12, atol=0)
+            assert np.all(table[~upper] == 0)
+
+    @pytest.mark.parametrize("seed,noise_free", [(5, False), (6, False), (7, False), (5, True)])
+    @pytest.mark.parametrize("problem,n", [("heat", 24), ("gradiometry", 40)])
+    def test_matches_per_run_loop(self, problem, n, seed, noise_free, monkeypatch):
+        cfg = ExperimentConfig(problem=problem, filter_kind="tikhonov", runs=23, sigma_count=3,
+                               sigma_start=1e-2, sigma_stop=1e-6, seed=seed,
+                               problem_params={"n": n}, noise_free=noise_free)
+        reference = per_run_reference(cfg)
+        # the default budget holds all runs in one block; a small one splits
+        # them into several, the last one short
+        for block_elements in (harness._BLOCK_ELEMENTS, 2000):
+            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_elements)
+            res = run_experiment(cfg)
+            for cell, (mses, hists, r_mstar) in zip(res.cells, reference):
+                assert cell.r_mstar == pytest.approx(r_mstar, rel=1e-12)
+                for name in cfg.selectors:
+                    np.testing.assert_array_equal(cell.selectors[name].histogram, hists[name])
+                    assert cell.selectors[name].mse == pytest.approx(mses[name], rel=1e-12)
+
+    def test_peak_memory_does_not_grow_with_runs(self, monkeypatch):
+        # the problem is built outside the measurement, so the peak is the cell's own
+        problem = get_problem("antiderivative", n=2000)
+        monkeypatch.setattr(harness, "get_problem", lambda *args, **kwargs: problem)
+        peaks = {}
+        for runs in (40, 400):
+            cfg = ExperimentConfig(problem="antiderivative", filter_kind="tikhonov", runs=runs,
+                                   sigma_count=1, sigma_start=1e-3, sigma_stop=1e-4, seed=1)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.25 * peaks[40], peaks
 
 
 class TestVerifyOracleInequality:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from solit import (
     CandidateGrid,
@@ -43,6 +46,14 @@ def solit_reference(bhat, kappa, m_max):
         if all(bhat[m1, m2] <= kappa[m1, m2] for m2 in range(m1 + 1, m_max + 1)):
             return m1
     return m_max
+
+
+def lepskii_reference(bhat, grid, sigma, kappa_tune):
+    mu = np.sqrt(grid.v) * (sigma / grid.sigma)
+    for m1 in range(grid.m_max + 1):
+        if all(bhat[m1, m2] <= 4.0 * kappa_tune * mu[m2] for m2 in range(m1 + 1, grid.m_max + 1)):
+            return m1
+    return grid.m_max
 
 
 def oracle_reference(b, v, beta, m_max):
@@ -152,6 +163,44 @@ class TestSolitSelect:
             m_small = solit_select(bhat, self.hand_thresholds(kappa, m_max))
             m_big = solit_select(bhat, self.hand_thresholds(bigger, m_max))
             assert m_big <= m_small
+
+
+class TestStackedSelectors:
+    """A stack of tables gives, per table, the index of a single-table call."""
+
+    @staticmethod
+    @st.composite
+    def stacks(draw):
+        m_max = draw(st.integers(0, 6))
+        k = m_max + 1
+        # a coarse value set makes distances equal to their thresholds often
+        values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        bhat = draw(hnp.arrays(float, (draw(st.integers(1, 6)), k, k), elements=values))
+        kappa = draw(hnp.arrays(float, (k, k), elements=values))
+        v = np.cumsum(draw(hnp.arrays(float, k, elements=st.sampled_from([0.01, 0.02, 0.05]))))
+        return bhat, kappa, v
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks())
+    def test_stack_matches_per_matrix_calls(self, case):
+        bhat, kappa, v = case
+        m_max = kappa.shape[0] - 1
+        tt = ThresholdTable(kappa=kappa, x=np.ones(m_max), beta=1.0, gamma=1.0)
+        grid = toy_grid(v, sigma=0.5)
+        solit = solit_select(bhat, tt)
+        lepskii = lepskii_select(bhat, grid, sigma=0.1)
+        assert solit.shape == lepskii.shape == (bhat.shape[0],)
+        for i, table_i in enumerate(bhat):
+            assert solit[i] == solit_select(table_i, tt) == solit_reference(table_i, kappa, m_max)
+            assert lepskii[i] == lepskii_select(table_i, grid, sigma=0.1)
+            assert lepskii[i] == lepskii_reference(table_i, grid, 0.1, 1.0)
+        assert isinstance(solit_select(bhat[0], tt), int)
+        assert isinstance(lepskii_select(bhat[0], grid, sigma=0.1), int)
+
+    def test_optimal_stack(self):
+        errors = np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(optimal_select(errors), [1, 2, 0])
+        assert [optimal_select(e) for e in errors] == [1, 2, 0]
 
 
 class TestOracleSelect:
