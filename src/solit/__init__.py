@@ -5,7 +5,6 @@ Monte Carlo experiment harness for convergence-rate studies."""
 from .candidates import (
     CandidateGrid,
     build_grid,
-    hutchinson_trace,
     line_search_variance,
     pairwise_variance_v,
     variance_V,
@@ -20,7 +19,6 @@ from .filters import (
     validate_ordered_filter,
 )
 from .genchi2 import (
-    WeightVector,
     critical_value_z,
     cumulant_traces,
     ltz_quantile_for_weights,
@@ -54,9 +52,7 @@ from .sequence_model import (
     DataRealization,
     SpectralProblem,
     estimate,
-    pairwise_distance,
     simulate_data,
-    squared_error,
 )
 from .testproblems import (
     antiderivative_problem,
@@ -79,7 +75,6 @@ __all__ = [
     "SpectralProblem",
     "ThresholdTable",
     "ValidationReport",
-    "WeightVector",
     "antiderivative_problem",
     "build_grid",
     "build_thresholds",
@@ -92,7 +87,6 @@ __all__ = [
     "get_problem",
     "gradiometry_problem",
     "heat_problem",
-    "hutchinson_trace",
     "lepskii_select",
     "line_search_variance",
     "ltz_quantile_for_weights",
@@ -104,7 +98,6 @@ __all__ = [
     "optimal_select",
     "oracle_constants",
     "oracle_select",
-    "pairwise_distance",
     "pairwise_variance_v",
     "price_of_adaptation",
     "read_results",
@@ -112,7 +105,6 @@ __all__ = [
     "run_experiment",
     "simulate_data",
     "solit_select",
-    "squared_error",
     "synthesize",
     "validate_ordered_filter",
     "variance_V",

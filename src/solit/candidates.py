@@ -71,10 +71,12 @@ def line_search_variance(
     Returns ``(alpha, gap)`` with ``gap = log(V(alpha)) - log(target)``.  For
     filters with continuous V the bisection terminates with |gap| <= tol
     whenever the target lies between V(alpha_hi) and V(alpha_lo).  For the
-    spectral cut-off the candidates are the eigenvalues inside the bracket and
-    the largest one whose V meets or exceeds the target is returned (smallest
-    achievable overshoot).  Targets outside the attainable range clamp to the
-    corresponding bracket end, with the signed gap reporting the miss.
+    spectral cut-off the candidates are the eigenvalues inside the bracket,
+    V(lam_j) is read off the cumulative sum of 1/lam over the spectrum, and
+    the largest candidate whose V meets or exceeds the target is returned
+    (smallest achievable overshoot).  Targets outside the attainable range
+    clamp to the corresponding bracket end, with the signed gap reporting the
+    miss.
     """
     if target <= 0:
         raise InvalidParameterError("target variance must be positive")
@@ -90,7 +92,11 @@ def line_search_variance(
         cands = np.unique(lams[(lams >= a_lo) & (lams <= a_hi)])[::-1]
         if cands.size == 0:
             raise InvalidParameterError("no admissible cut-off parameters inside the bracket")
-        vals = np.array([variance_V(problem, spec, a) for a in cands])
+        # V(lam_j) sums lam q^2 = 1/lam over the eigenvalues >= lam_j, a prefix
+        # of the non-increasing spectrum: one cumulative sum serves every candidate
+        q = 1.0 / lams
+        prefix = np.searchsorted(-lams, -cands, side="right")
+        vals = np.cumsum(lams * q * q)[prefix - 1]
         gaps = np.log(vals) - log_target
         within = np.abs(gaps) <= tol
         if np.any(within):
@@ -278,20 +284,3 @@ def build_grid(
         truncation_tail_ratio=tail_ratio,
     )
 
-
-def hutchinson_trace(apply, dim: int, probes: int, seed: int) -> float:
-    """Rademacher trace estimate: average of z^T (A z) over random sign vectors.
-
-    ``apply`` maps a length-``dim`` vector to A @ vector.  Unbiased for
-    trace(A); exact for the identity since z^T z = dim for sign vectors.
-    """
-    if probes < 1:
-        raise InvalidParameterError("at least one probe vector is required")
-    if dim < 1:
-        raise InvalidParameterError("dimension must be positive")
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0
-    for _ in range(probes):
-        z = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
-        total += float(z @ np.asarray(apply(z), dtype=float))
-    return total / probes

@@ -36,7 +36,7 @@ from .harness import (
     write_results,
 )
 from .selectors import build_thresholds, solit_select
-from .sequence_model import estimate, simulate_data
+from .sequence_model import estimate, estimator_weights, simulate_data
 from .testproblems import get_problem, synthesize
 
 _QUANTILE_CHECK_TAILS = (math.exp(-1), math.exp(-2), math.exp(-4))
@@ -240,8 +240,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
         thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
-        rows = np.vstack([estimate(problem, data, spec, a) for a in grid.alphas])
-        bhat = _pairwise_distance_table(rows)
+        bhat = _pairwise_distance_table(estimator_weights(problem, spec, grid.alphas) * data.y)
         alpha = float(grid.alphas[solit_select(bhat, thresholds)])
     coeffs = estimate(problem, data, spec, alpha)
     domain = (0.0, 1.0) if opts["problem"] == "antiderivative" else (-math.pi, math.pi)

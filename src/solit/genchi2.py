@@ -3,15 +3,15 @@
 The variable of interest is Z = sum_i a_i eps_i^2 with nonnegative weights
 a_i and independent standard normal eps_i.  Its upper tail is approximated by
 matching skewness and kurtosis to a (possibly non-central) chi-squared
-distribution; quantiles follow by monotone bisection.  A seeded Monte Carlo
-quantile is provided as the independent cross-check.
+distribution.  For nonnegative weights the match is a central chi-squared,
+so quantiles follow in closed form from its inverse survival function.  A
+seeded Monte Carlo quantile is provided as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -21,45 +21,24 @@ from .filters import FilterSpec, filter_weight
 from .sequence_model import SpectralProblem
 
 _POISSON_MASS_TOL = 1e-14
-_QUANTILE_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative diagonal weights of the quadratic form."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidParameterError("weights must form a nonempty vector")
-        if np.any(arr < 0):
-            raise InvalidParameterError("weights must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
-
-
-def _weights_array(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.a
+def _weights_array(w, max_ndim: int = 1) -> np.ndarray:
     arr = np.asarray(w, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError("weights must form a nonempty vector")
+    if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
+        raise InvalidParameterError("weights must form a nonempty vector (or stack of vectors)")
     if np.any(arr < 0):
         raise InvalidParameterError("weights must be nonnegative")
     return arr
 
 
-def cumulant_traces(w) -> tuple[float, float, float, float]:
-    """Power sums (sum a, sum a^2, sum a^3, sum a^4) of the weights."""
-    a = _weights_array(w)
-    return (
-        float(np.sum(a)),
-        float(np.sum(a**2)),
-        float(np.sum(a**3)),
-        float(np.sum(a**4)),
-    )
+def cumulant_traces(w) -> tuple:
+    """Power sums (sum a, sum a^2, sum a^3, sum a^4) of the weights: floats
+    for one vector, arrays with one entry per row for a stack (r, n)."""
+    a = _weights_array(w, max_ndim=2)
+    a2 = a * a  # products, not a**3 and a**4: the generic power is far slower
+    sums = tuple(np.sum(b, axis=-1) for b in (a, a2, a2 * a, a2 * a2))
+    return tuple(float(s) for s in sums) if a.ndim == 1 else sums
 
 
 def noncentral_chi2_sf(l: float, delta: float, x: float) -> float:
@@ -134,48 +113,54 @@ def ltz_tail_sf(cumulants, t: float) -> float:
     return noncentral_chi2_sf(l, delta, x)
 
 
-def ltz_tail_quantile(cumulants, p: float) -> float:
+def ltz_tail_quantile(cumulants, p):
     """Upper-tail quantile: the t with ltz_tail_sf(t) = p, 0 < p < 1.
 
-    Monotone bisection starting from the bracket
-    [0, c1 + 20 sqrt(2 c2) + 20 c4^{1/4}] (c4^{1/4} bounds max a_i); the upper
-    end is doubled when the requested tail lies beyond it.  Relative
-    tolerance 1e-10.
+    Nonnegative weights give c3^2 <= c2 c4, i.e. s1^2 <= s2, so the matched
+    distribution is the central chi-squared with l = c2^3 / c3^2 degrees of
+    freedom (Liu, Tang & Zhang 2009), and
+
+      t = c1 + (c3 / c2) (chdtri(l, p) - l).
+
+    The non-central branch of ``ltz_tail_sf`` is reached only through
+    rounding at c3^2 = c2 c4, where its delta -> 0 limit is this central
+    form.  The cumulants and ``p`` may be arrays (broadcast together); a
+    scalar call returns a float.  Raises when c3 <= 0 (no skewness to match)
+    or the result is not finite.
     """
-    if not (0.0 < p < 1.0):
+    p = np.asarray(p, dtype=float)
+    if np.any((p <= 0.0) | (p >= 1.0)):
         raise InvalidParameterError("tail probability must lie strictly in (0, 1)")
-    c1, c2, c3, c4 = (float(c) for c in cumulants)
-    if c2 <= 0:
+    c1, c2, c3, _ = (np.asarray(c, dtype=float) for c in cumulants)
+    if np.any(c2 <= 0):
         raise InvalidParameterError("second cumulant trace must be positive")
-    hi = c1 + 20.0 * math.sqrt(2.0 * c2) + 20.0 * c4**0.25
-    for _ in range(200):
-        if ltz_tail_sf(cumulants, hi) <= p:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - tail bound grows much faster than this
-        raise InvalidParameterError("failed to bracket the requested quantile")
-    lo = 0.0
-    while hi - lo > _QUANTILE_REL_TOL * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if ltz_tail_sf(cumulants, mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if np.any(c3 <= 0):
+        raise InvalidParameterError("third cumulant trace must be positive")
+    l = c2**3 / c3**2
+    t = c1 + (c3 / c2) * (special.chdtri(l, p) - l)
+    if not np.all(np.isfinite(t)):
+        raise InvalidParameterError("tail quantile is not finite")
+    return float(t) if t.ndim == 0 else t
 
 
-def ltz_quantile_for_weights(w, p: float) -> float:
+def ltz_quantile_for_weights(w, p: float):
     """Approximated upper-tail quantile of Z = sum a_i eps_i^2.
 
-    Works on the normalized weight scale internally (quantiles are
-    scale-equivariant), which keeps the fourth power sum inside float64
-    range for strongly amplifying weight vectors.
+    ``w`` is one weight vector (the result is a float) or a stack (r, n) of
+    them (the result holds one quantile per row).  Works on the normalized
+    weight scale internally (quantiles are scale-equivariant), which keeps
+    the fourth power sum inside float64 range for strongly amplifying weight
+    vectors.  An all-zero vector has quantile 0.
     """
-    a = _weights_array(w)
-    amax = float(np.max(a))
-    if amax == 0.0:
-        return 0.0
-    return amax * ltz_tail_quantile(cumulant_traces(a / amax), p)
+    a = _weights_array(w, max_ndim=2)
+    rows = np.atleast_2d(a)
+    amax = np.max(rows, axis=1)
+    q = np.zeros(rows.shape[0])
+    live = amax > 0.0
+    if np.any(live):
+        cumulants = cumulant_traces(rows[live] / amax[live, None])
+        q[live] = amax[live] * ltz_tail_quantile(cumulants, p)
+    return float(q[0]) if a.ndim == 1 else q
 
 
 def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:

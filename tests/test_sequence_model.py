@@ -7,10 +7,10 @@ from solit import (
     SpectralProblem,
     build_grid,
     estimate,
-    pairwise_distance,
     simulate_data,
-    squared_error,
 )
+from solit.filters import filter_weight
+from solit.sequence_model import estimator_weights
 from conftest import bias_norms, synthetic_problem
 
 
@@ -88,24 +88,18 @@ class TestEstimate:
         rhs = estimate(p, mk(y1), spec, 0.2) + estimate(p, mk(y2), spec, 0.2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff"])
+    def test_weight_table_rows_are_per_candidate_weights(self, kind, small_heat):
+        spec = FilterSpec(kind)
+        alphas = build_grid(small_heat, spec, sigma=1e-3, theta=2.0).alphas
+        lam = small_heat.eigenvalues
+        table = estimator_weights(small_heat, spec, alphas)
+        assert table.shape == (alphas.size, lam.size)
+        for a, row in zip(alphas, table):
+            assert np.array_equal(row, filter_weight(spec, a, lam) * np.sqrt(lam))
+
 
 class TestPairwiseDistance:
-    def test_identical(self):
-        assert pairwise_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_pythagorean(self):
-        assert pairwise_distance([3.0, 0.0], [0.0, 4.0]) == 5.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            pairwise_distance([1.0], [1.0, 2.0])
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b, c = rng.standard_normal((3, 8))
-            assert pairwise_distance(a, c) <= pairwise_distance(a, b) + pairwise_distance(b, c) + 1e-12
-
     def test_noise_free_distance_matches_deterministic_bias(self):
         # on exact-forward data the empirical distance between noise-free
         # estimators equals the bias term computed from the truth directly
@@ -118,22 +112,7 @@ class TestPairwiseDistance:
         fb = estimate(p, d, spec, 0.05)
         qd = 1.0 / (lam + 0.5) - 1.0 / (lam + 0.05)
         expected = float(np.linalg.norm(qd * lam * truth))
-        assert pairwise_distance(fa, fb) == pytest.approx(expected, rel=1e-12)
-
-
-class TestSquaredError:
-    def test_zero_at_truth(self):
-        p = synthetic_problem([1.0, 0.5], [1.0, -1.0])
-        assert squared_error(p.truth, p) == 0.0
-
-    def test_zero_estimator(self):
-        p = synthetic_problem([1.0, 0.5], [2.0, 3.0])
-        assert squared_error(np.zeros(2), p) == pytest.approx(13.0)
-
-    def test_length_mismatch(self):
-        p = synthetic_problem([1.0], [1.0])
-        with pytest.raises(InvalidParameterError):
-            squared_error([1.0, 2.0], p)
+        assert np.linalg.norm(fa - fb) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBiasMonotonicity:
