@@ -30,7 +30,6 @@ from .genchi2 import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    deterministic_tables,
     fit_rate,
     read_results,
     run_experiment,
@@ -80,7 +79,6 @@ __all__ = [
     "build_thresholds",
     "critical_value_z",
     "cumulant_traces",
-    "deterministic_tables",
     "estimate",
     "filter_weight",
     "fit_rate",

@@ -200,11 +200,11 @@ def _estimate_tail_ratio(problem: SpectralProblem, alpha_min: float, v_at_min: f
 def build_grid(
     problem: SpectralProblem,
     spec: FilterSpec,
-    sigma: float,
+    sigma: float | np.ndarray,
     theta: float = 2.0,
     v_start: float = 1.0,
     max_candidates: int = MAX_CANDIDATES,
-) -> CandidateGrid:
+) -> CandidateGrid | list[CandidateGrid]:
     """Construct the candidate grid for noise level ``sigma``.
 
     The first candidate solves V(alpha_0) = v_start (so v_0 = sigma^2 by
@@ -214,8 +214,14 @@ def build_grid(
     (theta-1)/2; the line-search exit tolerance log(theta2/theta) keeps every
     achieved ratio inside [theta1, theta2] for continuous filters (since
     theta1 * theta2 <= theta^2).
+
+    The candidates do not depend on sigma, only where the grid stops.  Given
+    an array of noise levels, the ladder is walked once, down to the smallest,
+    and one grid per noise level is returned, each the prefix that a scalar
+    call would build.
     """
-    if sigma <= 0:
+    sigmas = np.asarray(sigma, dtype=float)
+    if sigmas.size == 0 or not np.all(sigmas > 0):
         raise InvalidParameterError("noise level must be positive")
     if theta <= 1:
         raise InvalidParameterError("theta must exceed 1")
@@ -236,10 +242,11 @@ def build_grid(
     alpha0, _ = line_search_variance(problem, spec, v_start, tol, (a_floor, a_ceil))
     alphas = [alpha0]
     big_v = [variance_V(problem, spec, alpha0)]
-
-    theta2 = theta2_req
-    enlarged = False
-    while sigma**2 * big_v[-1] < 1.0:
+    # theta2s[m]: the ratio bound of the grid ending at m (enlarged past theta2_req
+    # when the spectrum forces an overshoot)
+    theta2s = [theta2_req]
+    sigma_min = float(sigmas.min())
+    while sigma_min**2 * big_v[-1] < 1.0:
         if len(alphas) >= max_candidates:
             raise ConfigurationError(
                 f"candidate grid exceeded the hard cap of {max_candidates} entries"
@@ -248,7 +255,7 @@ def build_grid(
         if target > v_cap * (1.0 - 1e-12):
             raise ConfigurationError(
                 "variance cannot reach 1/sigma^2 on this truncation: "
-                f"max attainable V = {v_cap:.3g}, needed {1.0 / sigma**2:.3g}; "
+                f"max attainable V = {v_cap:.3g}, needed {1.0 / sigma_min**2:.3g}; "
                 "increase the truncation dimension or the noise level"
             )
         alpha_next, _ = line_search_variance(
@@ -260,27 +267,32 @@ def build_grid(
             raise ConfigurationError(
                 f"grid construction stalled at m={len(alphas)}: achieved ratio {ratio:.4g}"
             )
-        if ratio > theta2:
-            theta2 = float(ratio)
-            enlarged = True
         alphas.append(alpha_next)
         big_v.append(v_next)
+        theta2s.append(max(theta2s[-1], float(ratio)))
 
-    tail_ratio = _estimate_tail_ratio(problem, alphas[-1], big_v[-1])
-    if math.isfinite(tail_ratio) and tail_ratio > 1e-4:
-        warnings.warn(
-            f"omitted variance tail is ~{tail_ratio:.2g} of the retained variance "
-            "at the deepest candidate; consider a larger truncation dimension",
-            stacklevel=2,
+    big_v = np.asarray(big_v)
+    grids = []
+    for s in sigmas.ravel().tolist():
+        v = s**2 * big_v
+        m = int(np.argmax(v >= 1.0))
+        tail_ratio = _estimate_tail_ratio(problem, alphas[m], big_v[m])
+        if math.isfinite(tail_ratio) and tail_ratio > 1e-4:
+            warnings.warn(
+                f"omitted variance tail is ~{tail_ratio:.2g} of the retained variance "
+                "at the deepest candidate; consider a larger truncation dimension",
+                stacklevel=2,
+            )
+        grids.append(
+            CandidateGrid(
+                alphas=np.asarray(alphas[: m + 1]),
+                v=v[: m + 1],
+                theta1=theta1,
+                theta2=theta2s[m],
+                sigma=s,
+                theta2_requested=theta2_req,
+                theta2_enlarged=theta2s[m] > theta2_req,
+                truncation_tail_ratio=tail_ratio,
+            )
         )
-    return CandidateGrid(
-        alphas=np.asarray(alphas),
-        v=sigma**2 * np.asarray(big_v),
-        theta1=theta1,
-        theta2=theta2,
-        sigma=float(sigma),
-        theta2_requested=theta2_req,
-        theta2_enlarged=enlarged,
-        truncation_tail_ratio=tail_ratio,
-    )
-
+    return grids[0] if sigmas.ndim == 0 else grids

@@ -19,12 +19,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .candidates import build_grid
-from .errors import InvalidParameterError
-from .filters import FilterSpec, filter_weight
+from .errors import ConfigurationError, InvalidParameterError
+from .filters import FilterSpec
 from .genchi2 import ltz_quantile_for_weights, mc_tail_quantiles
 from .harness import (
     ExperimentConfig,
@@ -41,37 +42,24 @@ from .testproblems import get_problem, synthesize
 
 _QUANTILE_CHECK_TAILS = (math.exp(-1), math.exp(-2), math.exp(-4))
 
+_CONFIG_DEFAULTS = {
+    f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING
+}
+# the sweep options default as in ExperimentConfig; the others are CLI-only
 _SIM_DEFAULTS = {
     "problem": "antiderivative",
     "filter": "tikhonov",
-    "selectors": ",".join(SELECTOR_NAMES),
-    "theta": 2.0,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "sigma_start": 3e-2,
-    "sigma_stop": 1e-5,
-    "sigma_count": 8,
-    "runs": 200,
-    "seed": 42,
-    "kappa_tune": 1.0,
-    "noise_free": False,
+    **_CONFIG_DEFAULTS,
     "n": None,
     "R": None,
     "t_bar": None,
-    "landweber_step": None,
     "out": None,
 }
 
 
 def _problem_params(opts: dict) -> dict:
-    params = {}
-    if opts.get("n") is not None:
-        params["n"] = int(opts["n"])
-    if opts.get("R") is not None:
-        params["R"] = float(opts["R"])
-    if opts.get("t_bar") is not None:
-        params["t_bar"] = float(opts["t_bar"])
-    return params
+    casts = {"n": int, "R": float, "t_bar": float}
+    return {key: cast(opts[key]) for key, cast in casts.items() if opts.get(key) is not None}
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -82,13 +70,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-bar", dest="t_bar", type=float, help="heat diffusion time")
     p.add_argument("--landweber-step", dest="landweber_step", type=float)
     p.add_argument("--theta", type=float, help="variance ratio tuning parameter")
-
-
-def _spec_for(opts: dict, problem) -> FilterSpec:
-    step = opts.get("landweber_step")
-    if opts["filter"] == "landweber" and step is None:
-        step = 1.0 / float(problem.eigenvalues[0])
-    return FilterSpec.from_name(opts["filter"], landweber_step=step)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,30 +129,30 @@ def _merge_simulate_options(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             opts[key] = value
+    if isinstance(opts["selectors"], str):
+        opts["selectors"] = [name for name in opts["selectors"].split(",") if name]
     return opts
+
+
+def _simulate_config(opts: dict) -> ExperimentConfig:
+    """The sweep of the merged simulate options.  A JSON config may give 2
+    for 2.0, so values are cast to the type of the field's default."""
+    typed = {
+        key: opts[key] if opts[key] is None or default is None else type(default)(opts[key])
+        for key, default in _CONFIG_DEFAULTS.items()
+    }
+    return ExperimentConfig(
+        problem=opts["problem"],
+        filter_kind=opts["filter"],
+        problem_params=_problem_params(opts),
+        **typed,
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     opts = _merge_simulate_options(args)
     out = opts["out"] or os.environ.get("SOLIT_OUT") or "results"
-    selectors = tuple(s for s in str(opts["selectors"]).split(",") if s)
-    config = ExperimentConfig(
-        problem=opts["problem"],
-        filter_kind=opts["filter"],
-        selectors=selectors,
-        theta=float(opts["theta"]),
-        beta=float(opts["beta"]),
-        gamma=float(opts["gamma"]),
-        sigma_start=float(opts["sigma_start"]),
-        sigma_stop=float(opts["sigma_stop"]),
-        sigma_count=int(opts["sigma_count"]),
-        runs=int(opts["runs"]),
-        seed=int(opts["seed"]),
-        kappa_tune=float(opts["kappa_tune"]),
-        problem_params=_problem_params(opts),
-        landweber_step=opts["landweber_step"],
-        noise_free=bool(opts["noise_free"]),
-    )
+    config = _simulate_config(opts)
     result = run_experiment(config)
     write_results(result, out)
     for cell in result.cells:
@@ -196,7 +177,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_candidates(args: argparse.Namespace) -> int:
     opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
     problem = get_problem(opts["problem"], **_problem_params(opts))
-    spec = _spec_for(opts, problem)
+    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
     grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
     sys.stdout.write(grid.to_csv())
     if grid.theta2_enlarged:
@@ -211,15 +192,13 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 def _cmd_quantile_check(args: argparse.Namespace) -> int:
     opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
     problem = get_problem(opts["problem"], **_problem_params(opts))
-    spec = _spec_for(opts, problem)
+    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
     grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
-    lam = problem.eigenvalues
+    w_rows = estimator_weights(problem, spec, grid.alphas)
     print("m1,m2,p,ltz,mc,rel_err")
     for m1 in range(grid.m_max):
         m2 = m1 + 1
-        qa = filter_weight(spec, grid.alphas[m1], lam)
-        qb = filter_weight(spec, grid.alphas[m2], lam)
-        weights = lam * (qa - qb) ** 2
+        weights = (w_rows[m1] - w_rows[m2]) ** 2
         seed = int(np.random.SeedSequence((args.seed, m1)).generate_state(1, np.uint64)[0])
         mcs = mc_tail_quantiles(weights, _QUANTILE_CHECK_TAILS, args.mc_samples, seed)
         for p, mc in zip(_QUANTILE_CHECK_TAILS, mcs):
@@ -233,7 +212,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
     params = _problem_params(opts)
     problem = get_problem(opts["problem"], **params)
-    spec = _spec_for(opts, problem)
+    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
     data = simulate_data(problem, args.sigma, args.seed)
     if args.alpha is not None:
         alpha = args.alpha
@@ -262,7 +241,11 @@ def main(argv=None) -> int:
         "quantile-check": _cmd_quantile_check,
         "reconstruct": _cmd_reconstruct,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (InvalidParameterError, ConfigurationError) as exc:
+        print(f"solit {args.command}: error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

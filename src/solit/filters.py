@@ -70,6 +70,14 @@ class FilterSpec:
             return cls(kind="landweber", landweber_step=landweber_step)
         return cls(kind=name)
 
+    @classmethod
+    def for_spectrum(cls, name: str, lam, landweber_step: float | None = None) -> "FilterSpec":
+        """Spec of filter ``name`` on the spectrum ``lam``; the Landweber step
+        defaults to 1/lam_max, the largest step with step * lam <= 1."""
+        if name.strip().lower() == "landweber" and landweber_step is None:
+            landweber_step = 1.0 / float(np.max(lam))
+        return cls.from_name(name, landweber_step=landweber_step)
+
 
 def _as_lambda_array(lam):
     arr = np.asarray(lam, dtype=float)

@@ -1,9 +1,13 @@
 """Monte Carlo experiment runner, rate fitting and results serialization.
 
-For every noise level the runner builds the candidate grid and thresholds
-once, computes the deterministic tables (pairwise biases and variances, the
-oracle index and the oracle-inequality constants), then replays seeded
-realizations in blocks of runs.  Each realization is drawn by its own
+The noise level only decides where the candidate grid stops and scales the
+pairwise tables.  So per sweep the runner walks the candidate ladder once,
+down to the smallest noise level, and makes one pass over the deepest grid's
+candidate pairs for the thresholds, the noise-free biases and the variances.
+Every noise level takes a prefix of that grid and of those tables, with the
+thresholds scaled by sigma and the variances by sigma^2; from them come the
+oracle index and the oracle-inequality constants.  The runner then replays
+seeded realizations in blocks of runs.  Each realization is drawn by its own
 ``simulate_data`` call with its own seed, so the data are bit-identical
 however the runs are blocked.  Per block the runner evaluates every
 candidate's squared error exactly, forms the empirical pairwise distances in
@@ -38,7 +42,7 @@ from .selectors import (
     price_of_adaptation,
     solit_select,
 )
-from .sequence_model import SpectralProblem, estimator_weights, simulate_data
+from .sequence_model import estimator_weights, simulate_data
 from .testproblems import get_problem
 
 SELECTOR_NAMES = ("solit", "lepskii", "oracle", "optimal", "noise-level")
@@ -80,9 +84,8 @@ class ExperimentConfig:
             raise InvalidParameterError("sigma_count must be positive")
 
     def sigma_grid(self) -> np.ndarray:
-        """Strictly decreasing geometric noise-level grid."""
-        if self.sigma_count == 1:
-            return np.asarray([self.sigma_start])
+        """Strictly decreasing geometric noise-level grid (sigma_start alone
+        when sigma_count is 1)."""
         return np.geomspace(self.sigma_start, self.sigma_stop, self.sigma_count)
 
 
@@ -149,39 +152,22 @@ def _block_distances(y_sq: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
     return bhat
 
 
-def deterministic_tables(
-    problem: SpectralProblem, spec: FilterSpec, grid: CandidateGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free pairwise bias table and pairwise variance table for a grid.
-
-    Biases are distances between mean estimators (built from the exact data);
-    variances are sigma^2 sum lam (q_a - q_b)^2, assembled from the same
-    weight rows used by the estimators.
-    """
-    w_rows = estimator_weights(problem, spec, grid.alphas)
-    mean_rows = w_rows * problem.data_truth
-    b_table = _pairwise_distance_table(mean_rows)
-    v_table = (grid.sigma * _pairwise_distance_table(w_rows)) ** 2
-    return b_table, v_table
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full Monte Carlo sweep described by ``config``."""
     problem = get_problem(config.problem, **config.problem_params)
-    step = config.landweber_step
-    if config.filter_kind == "landweber" and step is None:
-        step = 1.0 / float(problem.eigenvalues[0])
-    spec = FilterSpec.from_name(config.filter_kind, landweber_step=step)
+    spec = FilterSpec.for_spectrum(config.filter_kind, problem.eigenvalues, config.landweber_step)
 
+    sigmas = config.sigma_grid()
+    grids = build_grid(problem, spec, sigmas, config.theta)
+    # sigmas decrease, so the last grid is the deepest and every other a prefix of it
+    tables = build_thresholds(problem, spec, grids[-1], config.beta, config.gamma)
+    w_all = estimator_weights(problem, spec, grids[-1].alphas)
     cells: list[SigmaCell] = []
-    for si, sigma in enumerate(config.sigma_grid()):
-        sigma = float(sigma)
-        grid = build_grid(problem, spec, sigma, config.theta)
-        thresholds = build_thresholds(problem, spec, grid, config.beta, config.gamma)
+    for si, (sigma, grid) in enumerate(zip(sigmas.tolist(), grids)):
+        thresholds = tables.restrict(grid)
         mm = grid.m_max
-        w_rows = estimator_weights(problem, spec, grid.alphas)
-        b_table, v_table = deterministic_tables(problem, spec, grid)
-        m_star = oracle_select(b_table, v_table, config.beta)
+        w_rows = w_all[: mm + 1]
+        m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         u_star = weak_variance_u(problem, spec, grid.alphas[m_star], sigma)
         c1, c2 = oracle_constants(grid, m_star, u_star, config.beta, config.gamma)
         fixed_choices = {
@@ -419,49 +405,31 @@ def read_results(path: str) -> ExperimentResult:
             )
         )
 
-    per_sigma: dict[float, dict] = {}
-    order: list[float] = []
+    cells: list[SigmaCell] = []
+    by_sigma: dict[float, SigmaCell] = {}
     with open(os.path.join(path, "results.csv")) as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             sig = float(row["sigma"])
-            if sig not in per_sigma:
-                per_sigma[sig] = {
-                    "m_star": int(row["m_star"]),
-                    "r_mstar": float(row["R_mstar"]),
-                    "c1": float(row["C1"]),
-                    "c2": float(row["C2"]),
-                    "poa": float(row["poa"]),
-                    "selectors": {},
-                }
-                order.append(sig)
-            per_sigma[sig]["selectors"][row["selector"]] = SelectorSummary(
-                mse=float(row["mse"]), stderr=float(row["stderr"]), histogram=None
+            if sig not in by_sigma:
+                by_sigma[sig] = SigmaCell(
+                    sigma=sig,
+                    grid=grids[len(cells)],
+                    m_star=int(row["m_star"]),
+                    r_mstar=float(row["R_mstar"]),
+                    c1=float(row["C1"]),
+                    c2=float(row["C2"]),
+                    poa=float(row["poa"]),
+                    selectors={},
+                )
+                cells.append(by_sigma[sig])
+            cell = by_sigma[sig]
+            cell.selectors[row["selector"]] = SelectorSummary(
+                mse=float(row["mse"]),
+                stderr=float(row["stderr"]),
+                histogram=np.zeros(cell.grid.m_max + 1, dtype=int),
             )
     with open(os.path.join(path, "selections.csv")) as fh:
-        reader = csv.DictReader(fh)
-        hist_rows = [(float(r["sigma"]), r["selector"], int(r["index"]), int(r["count"])) for r in reader]
-
-    cells = []
-    for i, sig in enumerate(order):
-        info = per_sigma[sig]
-        grid = grids[i]
-        for name, summary in info["selectors"].items():
-            hist = np.zeros(grid.m_max + 1, dtype=int)
-            for hsig, hname, idx, count in hist_rows:
-                if hsig == sig and hname == name:
-                    hist[idx] = count
-            summary.histogram = hist
-        cells.append(
-            SigmaCell(
-                sigma=sig,
-                grid=grid,
-                m_star=info["m_star"],
-                r_mstar=info["r_mstar"],
-                c1=info["c1"],
-                c2=info["c2"],
-                poa=info["poa"],
-                selectors=info["selectors"],
-            )
-        )
+        for row in csv.DictReader(fh):
+            hist = by_sigma[float(row["sigma"])].selectors[row["selector"]].histogram
+            hist[int(row["index"])] = int(row["count"])
     return ExperimentResult(config=config, cells=cells)

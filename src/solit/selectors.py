@@ -11,7 +11,7 @@ biases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,29 +26,54 @@ from .sequence_model import SpectralProblem, estimator_weights
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Pairwise thresholds kappa (upper triangle, NaN elsewhere), tail budgets
-    x_m = 2 (1+gamma) log(v_{m+1}/v_0), and the tuning constants."""
+    """Pairwise tables of a grid, upper triangle (NaN elsewhere): thresholds
+    kappa, noise-free biases ||(W[m1] - W[m2]) g|| and variances
+    sigma^2 ||W[m1] - W[m2]||^2; tail budgets x_m = 2 (1+gamma)
+    log(v_{m+1}/v_0), the tuning constants and the noise level.  A table
+    built by hand may leave out the biases, variances and noise level."""
 
     kappa: np.ndarray
     x: np.ndarray
     beta: float
     gamma: float
+    bias: np.ndarray | None = None
+    variance: np.ndarray | None = None
+    sigma: float = math.nan
 
     def __post_init__(self):
-        kappa = np.asarray(self.kappa, dtype=float).copy()
-        x = np.asarray(self.x, dtype=float).copy()
-        if kappa.ndim != 2 or kappa.shape[0] != kappa.shape[1]:
+        for name in ("kappa", "x", "bias", "variance"):
+            if getattr(self, name) is not None:
+                table = np.asarray(getattr(self, name), dtype=float).copy()
+                table.flags.writeable = False
+                object.__setattr__(self, name, table)
+        if self.kappa.ndim != 2 or self.kappa.shape[0] != self.kappa.shape[1]:
             raise InvalidParameterError("kappa must be a square table")
-        if x.size != kappa.shape[0] - 1:
+        if self.x.size != self.kappa.shape[0] - 1:
             raise InvalidParameterError("x must have one entry per non-final index")
-        kappa.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "x", x)
+        for table in (self.bias, self.variance):
+            if table is not None and table.shape != self.kappa.shape:
+                raise InvalidParameterError("bias and variance tables must have the shape of kappa")
 
     @property
     def m_max(self) -> int:
         return self.kappa.shape[0] - 1
+
+    def restrict(self, grid: CandidateGrid) -> "ThresholdTable":
+        """The tables of ``grid``, a prefix of the grid these were built for,
+        at its own noise level: kappa is linear in sigma, the variances are
+        quadratic in it and the biases do not depend on it."""
+        k = grid.alphas.size
+        if self.bias is None or self.variance is None or k > self.kappa.shape[0]:
+            raise InvalidParameterError("only a built table restricts to a prefix grid")
+        scale = grid.sigma / self.sigma
+        return replace(
+            self,
+            kappa=scale * self.kappa[:k, :k],
+            x=self.x[: k - 1],
+            bias=self.bias[:k, :k],
+            variance=scale**2 * self.variance[:k, :k],
+            sigma=grid.sigma,
+        )
 
 
 def build_thresholds(
@@ -58,15 +83,19 @@ def build_thresholds(
     beta: float = 1.0,
     gamma: float = 1.0,
 ) -> ThresholdTable:
-    """Fill the full upper-triangular threshold table for a grid.
+    """Fill the upper-triangular pairwise tables of a grid.
 
     Built from the candidate weight table W one row m1 at a time: with
     d2 = (W[m1+1:] - W[m1])**2, the noise of the estimator difference is a
     generalized chi-squared with weights d2, so
 
-      kappa[m1, m2] = sigma * sqrt(q_{e^-x_m1}(d2)) + beta * sqrt(sigma^2 sum d2),
+      variance[m1, m2] = sigma^2 sum d2,
+      kappa[m1, m2] = sigma * sqrt(q_{e^-x_m1}(d2)) + beta * sqrt(variance),
+      bias[m1, m2] = sqrt(d2 @ g^2),
 
-    the same values as sigma * critical_value_z + beta * sqrt(pairwise_variance_v).
+    with g the exact data; kappa equals sigma * critical_value_z + beta *
+    sqrt(pairwise_variance_v).  The tables of every prefix of the grid follow
+    by ``ThresholdTable.restrict``.
     """
     if beta <= 0:
         raise InvalidParameterError("beta must be positive")
@@ -75,13 +104,16 @@ def build_thresholds(
     mm = grid.m_max
     x = 2.0 * (1.0 + gamma) * np.log(grid.v[1:] / grid.v[0])
     w_rows = estimator_weights(problem, spec, grid.alphas)
+    g2 = problem.data_truth**2
     sigma = grid.sigma
-    kappa = np.full((mm + 1, mm + 1), np.nan)
+    kappa, bias, variance = np.full((3, mm + 1, mm + 1), np.nan)
     for m1 in range(mm):
         d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
         z = np.sqrt(ltz_quantile_for_weights(d2, math.exp(-x[m1])))
-        kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(sigma**2 * d2.sum(-1))
-    return ThresholdTable(kappa=kappa, x=x, beta=beta, gamma=gamma)
+        variance[m1, m1 + 1 :] = sigma**2 * d2.sum(-1)
+        kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(variance[m1, m1 + 1 :])
+        bias[m1, m1 + 1 :] = np.sqrt(d2 @ g2)
+    return ThresholdTable(kappa, x, beta, gamma, bias, variance, sigma)
 
 
 def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarray:
@@ -113,15 +145,10 @@ def oracle_select(b: np.ndarray, v: np.ndarray, beta: float) -> int:
     v = np.asarray(v, dtype=float)
     if b.shape != v.shape or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InvalidParameterError("bias and variance tables must be square and matching")
-    mm = b.shape[0] - 1
-    ok = np.ones((mm + 1, mm + 1), dtype=bool)
-    iu = np.triu_indices(mm + 1, k=1)
-    ok[iu] = b[iu] ** 2 <= beta**2 * v[iu]
-    for m in range(mm + 1):
-        sub = ok[m:, m:][np.triu_indices(mm + 1 - m, k=1)]
-        if np.all(sub):
-            return m
-    return mm
+    iu = np.triu_indices(b.shape[0], k=1)
+    # rows m1 of the failing pairs; the oracle is the index past the last one
+    failing = iu[0][~(b[iu] ** 2 <= beta**2 * v[iu])]
+    return int(failing.max()) + 1 if failing.size else 0
 
 
 def lepskii_select(

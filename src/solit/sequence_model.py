@@ -43,6 +43,9 @@ class SpectralProblem:
             raise InvalidParameterError("eigenvalues, truth, data_truth must have equal length")
         if lam.size == 0:
             raise InvalidParameterError("problem must retain at least one coordinate")
+        for name, arr in (("eigenvalues", lam), ("truth", truth), ("data_truth", data)):
+            if not np.all(np.isfinite(arr)):
+                raise InvalidParameterError(f"{name} must be finite")
         if np.any(lam <= 0):
             raise InvalidParameterError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) > 0):

@@ -17,7 +17,7 @@ from solit import (
     ExperimentConfig,
     FilterSpec,
     build_grid,
-    deterministic_tables,
+    build_thresholds,
     fit_rate,
     get_problem,
     ltz_quantile_for_weights,
@@ -207,7 +207,7 @@ def test_criterion_9_property_suites(sweeps, tmp_path):
         prob = get_problem(problem)
         spec = FilterSpec("tikhonov")
         for c in results[problem, "tikhonov"].cells:
-            _, v_table = deterministic_tables(prob, spec, c.grid)
+            v_table = build_thresholds(prob, spec, c.grid).variance
             floor = (math.sqrt(c.grid.theta1) - 1.0) ** 2
             for m1 in range(c.grid.m_max):
                 row = v_table[m1, m1 + 1 :]

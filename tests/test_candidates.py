@@ -176,3 +176,42 @@ class TestBuildGrid:
         first = lines[1].split(",")
         assert first[3] == ""  # no ratio for m = 0
 
+
+
+class TestSweepGrids:
+    # a span that builds for all 12 (problem, filter) pairs at the small sizes;
+    # heat/landweber stops building near 1e-8
+    SIGMAS = np.geomspace(1e-2, 1e-6, 6)
+
+    @pytest.mark.filterwarnings("ignore:omitted variance tail")
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff", "landweber"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_each_grid_equals_a_scalar_call(self, name, kind, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec.for_spectrum(kind, problem.eigenvalues)
+        # any order of the noise levels: one grid per entry, in that order
+        sigmas = self.SIGMAS[[2, 0, 5, 1, 4, 3]]
+        grids = build_grid(problem, spec, sigmas, theta=2.0)
+        assert len(grids) == sigmas.size
+        for sigma, grid in zip(sigmas, grids):
+            ref = build_grid(problem, spec, float(sigma), theta=2.0)
+            assert np.array_equal(grid.alphas, ref.alphas)
+            assert np.array_equal(grid.v, ref.v)
+            for field in ("sigma", "theta1", "theta2", "theta2_requested", "theta2_enlarged"):
+                assert getattr(grid, field) == getattr(ref, field), field
+            assert np.array_equal(grid.truncation_tail_ratio, ref.truncation_tail_ratio, equal_nan=True)
+        deepest = grids[int(np.argmin(sigmas))]
+        for grid in grids:
+            assert np.array_equal(grid.alphas, deepest.alphas[: grid.alphas.size])
+
+    def test_unreachable_smallest_sigma_raises_like_a_scalar_call(self, small_heat):
+        spec = FilterSpec.for_spectrum("landweber", small_heat.eigenvalues)
+        with pytest.raises(ConfigurationError):
+            build_grid(small_heat, spec, 1e-8, theta=2.0)
+        with pytest.raises(ConfigurationError):
+            build_grid(small_heat, spec, np.array([1e-2, 1e-8]), theta=2.0)
+
+    def test_rejects_a_nonpositive_sigma_anywhere(self, small_heat):
+        for sigmas in ([1e-2, 0.0], [1e-2, -1e-3], [], [1e-2, math.nan]):
+            with pytest.raises(InvalidParameterError):
+                build_grid(small_heat, TIKH, np.array(sigmas), theta=2.0)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from solit.cli import main
+from solit import ExperimentConfig
+from solit.cli import _merge_simulate_options, _simulate_config, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -74,9 +75,9 @@ class TestSimulateAndRates:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"problem": "heat", "bogus": 1}))
-        from solit import InvalidParameterError
-        with pytest.raises(InvalidParameterError):
-            main(["simulate", "--config", str(cfg_path)])
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys: ['bogus']" in err
 
 
 class TestQuantileCheckCommand:
@@ -119,3 +120,38 @@ class TestReconstructCommand:
         )
         assert code == 0
         assert out.startswith("# alpha=")
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("candidates", "--problem", "nope", "--sigma", "1e-3"),  # InvalidParameterError
+            ("candidates", "--problem", "heat", "--n", "24", "--filter", "landweber",
+             "--sigma", "1e-8"),  # ConfigurationError: V cannot reach 1/sigma^2
+        ],
+    )
+    def test_one_line_and_exit_code_2(self, argv, capsys):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solit candidates: error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
+
+
+class TestSimulateDefaults:
+    def test_flag_free_simulate_uses_the_config_defaults(self):
+        args = build_parser().parse_args(["simulate"])
+        config = _simulate_config(_merge_simulate_options(args))
+        assert config == ExperimentConfig(problem="antiderivative", filter_kind="tikhonov")
+
+    def test_flags_and_config_values_are_typed(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"selectors": "solit,oracle", "theta": 3, "sigma_count": 4.0}))
+        args = build_parser().parse_args(["simulate", "--config", str(cfg_path), "--runs", "5"])
+        config = _simulate_config(_merge_simulate_options(args))
+        assert config.selectors == ("solit", "oracle")
+        assert config.theta == 3.0 and isinstance(config.theta, float)
+        assert config.sigma_count == 4 and isinstance(config.sigma_count, int)
+        assert config.runs == 5

@@ -135,3 +135,15 @@ class TestFilterSpec:
     def test_from_name(self):
         assert FilterSpec.from_name("cutoff").kind == "cutoff"
         assert FilterSpec.from_name("landweber", landweber_step=0.5).landweber_step == 0.5
+
+
+class TestForSpectrum:
+    def test_landweber_step_defaults_to_inverse_largest_eigenvalue(self):
+        lam = np.array([4.0, 2.0, 0.5])
+        assert FilterSpec.for_spectrum("landweber", lam).landweber_step == 0.25
+        assert FilterSpec.for_spectrum("landweber", lam, landweber_step=0.1).landweber_step == 0.1
+
+    def test_other_filters_take_no_step(self):
+        lam = np.array([4.0, 2.0, 0.5])
+        for kind in ("tikhonov", "showalter", "cutoff"):
+            assert FilterSpec.for_spectrum(kind, lam) == FilterSpec(kind)

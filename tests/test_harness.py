@@ -19,12 +19,11 @@ from solit import (
     verify_oracle_inequality,
     write_results,
 )
-from solit import harness
+from solit import candidates, harness, selectors
 from solit.harness import (
     _block_distances,
     _pairwise_distance_table,
     _run_seed,
-    deterministic_tables,
 )
 from solit.selectors import (
     lepskii_select,
@@ -132,8 +131,41 @@ class TestRunExperiment:
         problem = get_problem("antiderivative", n=64)
         spec = FilterSpec("tikhonov")
         for cell in res.cells:
-            b, v = deterministic_tables(problem, spec, cell.grid)
-            assert cell.m_star == oracle_select(b, v, beta=1.0)
+            tt = build_thresholds(problem, spec, cell.grid)
+            assert cell.m_star == oracle_select(tt.bias, tt.variance, beta=1.0)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
+    def test_one_ladder_walk_and_one_pair_pass_per_sweep(self, kind, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in [
+            (harness, "build_grid"),
+            (harness, "build_thresholds"),
+            (harness, "estimator_weights"),
+            (selectors, "estimator_weights"),
+            (candidates, "line_search_variance"),
+            (selectors, "ltz_quantile_for_weights"),
+            (harness, "_pairwise_distance_table"),
+        ]:
+            count(module, name)
+        res = run_experiment(ExperimentConfig(**{**SMALL, "filter_kind": kind, "sigma_count": 5}))
+        deepest = res.cells[-1].grid
+        assert calls["build_grid"] == 1
+        assert calls["build_thresholds"] == 1
+        assert calls["estimator_weights"] <= 2
+        # one line search per candidate of the deepest grid, one quantile per row
+        assert calls["line_search_variance"] == deepest.m_max + 1
+        assert calls["ltz_quantile_for_weights"] == deepest.m_max
+        assert "_pairwise_distance_table" not in calls
 
     def test_selector_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -163,7 +195,7 @@ def per_run_reference(config):
         thresholds = build_thresholds(problem, spec, grid, config.beta, config.gamma)
         lam = problem.eigenvalues
         w_rows = np.vstack([filter_weight(spec, a, lam) * np.sqrt(lam) for a in grid.alphas])
-        m_star = oracle_select(*deterministic_tables(problem, spec, grid), config.beta)
+        m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         fixed = {"oracle": m_star, "noise-level": noise_level_select(grid, sigma)}
         errors = {name: [] for name in config.selectors}
         hists = {name: np.zeros(grid.m_max + 1, dtype=int) for name in config.selectors}

@@ -14,7 +14,6 @@ from solit import (
     build_grid,
     build_thresholds,
     critical_value_z,
-    deterministic_tables,
     lepskii_select,
     noise_level_select,
     optimal_select,
@@ -24,6 +23,8 @@ from solit import (
     price_of_adaptation,
     solit_select,
 )
+from solit.harness import _pairwise_distance_table
+from solit.sequence_model import estimator_weights
 from conftest import bias_norms
 
 
@@ -84,6 +85,42 @@ class TestBuildThresholds:
                     vp = pairwise_variance_v(small_heat, spec, a1, a2, grid.sigma)
                     want = grid.sigma * z + math.sqrt(vp)
                     assert tt.kappa[m1, m2] == pytest.approx(want, rel=1e-12), (kind, m1, m2)
+
+    @pytest.mark.filterwarnings("ignore:omitted variance tail")
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff", "landweber"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_restricted_table_matches_a_per_sigma_rebuild(self, name, kind, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec.for_spectrum(kind, problem.eigenvalues)
+        grids = build_grid(problem, spec, np.geomspace(1e-2, 1e-6, 5), theta=2.0)
+        deep = build_thresholds(problem, spec, grids[-1], beta=1.5, gamma=0.5)
+        for grid in grids:
+            got = deep.restrict(grid)
+            ref = build_thresholds(problem, spec, grid, beta=1.5, gamma=0.5)
+            w = estimator_weights(problem, spec, grid.alphas)
+            iu = np.triu_indices(grid.m_max + 1, k=1)
+            assert got.m_max == grid.m_max and got.sigma == grid.sigma
+            np.testing.assert_allclose(got.kappa[iu], ref.kappa[iu], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(got.x, ref.x, rtol=1e-13, atol=0)
+            variance = (grid.sigma * _pairwise_distance_table(w)) ** 2
+            np.testing.assert_allclose(got.variance[iu], variance[iu], rtol=1e-13, atol=0)
+            bias = _pairwise_distance_table(w * problem.data_truth)
+            np.testing.assert_allclose(got.bias[iu], bias[iu], rtol=1e-12, atol=0)
+            lower = ~np.triu(np.ones_like(got.kappa, dtype=bool), k=1)
+            for table in (got.kappa, got.bias, got.variance):
+                assert np.all(np.isnan(table[lower]))
+
+    def test_restrict_needs_a_built_table_and_a_prefix(self, small_heat):
+        spec = FilterSpec("tikhonov")
+        small, large = build_grid(small_heat, spec, np.array([1e-2, 1e-4]), theta=2.0)
+        tt = build_thresholds(small_heat, spec, small)
+        with pytest.raises(InvalidParameterError):
+            tt.restrict(large)
+        by_hand = ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0)
+        with pytest.raises(InvalidParameterError):
+            by_hand.restrict(small)
+        with pytest.raises(InvalidParameterError):
+            ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0, bias=tt.bias[1:, 1:])
 
     def test_budgets_positive_and_floor(self, small_heat):
         spec = FilterSpec("tikhonov")
@@ -305,8 +342,8 @@ class TestDeterministicConsistency:
         spec = FilterSpec(kind)
         for sigma in (1e-2, 1e-4):
             grid = build_grid(problem, spec, sigma, theta=2.0)
-            b, v = deterministic_tables(problem, spec, grid)
-            m_star = oracle_select(b, v, beta=1.0)
+            tt = build_thresholds(problem, spec, grid)
+            m_star = oracle_select(tt.bias, tt.variance, beta=1.0)
             bias = bias_norms(problem, spec, grid.alphas)
             floor = (math.sqrt(grid.theta1) - 1.0) ** 2 * grid.v
             hits = np.nonzero(bias**2 <= floor)[0]
@@ -318,8 +355,7 @@ class TestDeterministicConsistency:
         problem = small_benchmarks[name]
         spec = FilterSpec("tikhonov")
         grid = build_grid(problem, spec, sigma=1e-3, theta=2.0)
-        b, v = deterministic_tables(problem, spec, grid)
         tt = build_thresholds(problem, spec, grid, beta=1.0, gamma=1.0)
-        m_hat = solit_select(b, tt)  # noise-free distances equal the biases
-        m_star = oracle_select(b, v, beta=1.0)
+        m_hat = solit_select(tt.bias, tt)  # noise-free distances equal the biases
+        m_star = oracle_select(tt.bias, tt.variance, beta=1.0)
         assert m_hat <= m_star

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,13 @@ class TestBiasMonotonicity:
         # slack covers the analytic-data gap (data is not exactly the
         # discrete forward image of the truth)
         assert np.all(np.diff(bias_sq) <= 1e-11 * truth_sq)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eigenvalues", "truth", "data_truth"])
+    def test_rejected(self, field, bad):
+        arrays = {"eigenvalues": [1.0, 0.5, 0.25], "truth": [0.0, 1.0, 0.0], "data_truth": [0.0, 0.5, 0.0]}
+        arrays[field][1] = bad
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            SpectralProblem(**arrays)
