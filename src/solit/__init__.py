@@ -15,7 +15,6 @@ from .filters import (
     FilterSpec,
     ValidationReport,
     filter_weight,
-    residual_weight,
     validate_ordered_filter,
 )
 from .genchi2 import (
@@ -24,7 +23,6 @@ from .genchi2 import (
     ltz_quantile_for_weights,
     ltz_tail_quantile,
     ltz_tail_sf,
-    mc_tail_quantile,
     noncentral_chi2_sf,
 )
 from .harness import (
@@ -90,7 +88,6 @@ __all__ = [
     "ltz_quantile_for_weights",
     "ltz_tail_quantile",
     "ltz_tail_sf",
-    "mc_tail_quantile",
     "noise_level_select",
     "noncentral_chi2_sf",
     "optimal_select",
@@ -99,7 +96,6 @@ __all__ = [
     "pairwise_variance_v",
     "price_of_adaptation",
     "read_results",
-    "residual_weight",
     "run_experiment",
     "simulate_data",
     "solit_select",

@@ -62,6 +62,14 @@ def _problem_params(opts: dict) -> dict:
     return {key: cast(opts[key]) for key, cast in casts.items() if opts.get(key) is not None}
 
 
+def _problem_and_filter(args: argparse.Namespace):
+    """Merged options, problem and filter of a single-problem subcommand."""
+    opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
+    problem = get_problem(opts["problem"], **_problem_params(opts))
+    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
+    return opts, problem, spec
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", help="antiderivative | gradiometry | heat")
     p.add_argument("--filter", help="tikhonov | showalter | cutoff | landweber")
@@ -175,9 +183,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
-    opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
-    problem = get_problem(opts["problem"], **_problem_params(opts))
-    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
+    opts, problem, spec = _problem_and_filter(args)
     grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
     sys.stdout.write(grid.to_csv())
     if grid.theta2_enlarged:
@@ -190,9 +196,7 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantile_check(args: argparse.Namespace) -> int:
-    opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
-    problem = get_problem(opts["problem"], **_problem_params(opts))
-    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
+    opts, problem, spec = _problem_and_filter(args)
     grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
     w_rows = estimator_weights(problem, spec, grid.alphas)
     print("m1,m2,p,ltz,mc,rel_err")
@@ -209,10 +213,7 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
-    params = _problem_params(opts)
-    problem = get_problem(opts["problem"], **params)
-    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
+    opts, problem, spec = _problem_and_filter(args)
     data = simulate_data(problem, args.sigma, args.seed)
     if args.alpha is not None:
         alpha = args.alpha
@@ -224,7 +225,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     coeffs = estimate(problem, data, spec, alpha)
     domain = (0.0, 1.0) if opts["problem"] == "antiderivative" else (-math.pi, math.pi)
     xs = np.linspace(domain[0], domain[1], args.points)
-    values = synthesize(opts["problem"], coeffs, xs, **params)
+    values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))
     print(f"# alpha={alpha:.9g}")
     print("x,value")
     for x, v in zip(xs, values):

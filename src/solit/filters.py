@@ -128,35 +128,6 @@ def filter_weight(spec: FilterSpec, alpha: float, lam):
     return _maybe_scalar(q, scalar)
 
 
-def residual_weight(spec: FilterSpec, alpha: float, lam):
-    """Evaluate the residual factor 1 - lambda * q_alpha(lambda) in [0, 1].
-
-    Showalter and Landweber residuals are evaluated in closed form
-    (exp(-lam/alpha) and (1 - step*lam)^N) to avoid cancellation when the
-    filter weight is close to 1/lambda.
-    """
-    if alpha <= 0 or not math.isfinite(alpha):
-        raise InvalidParameterError(f"regularization parameter must be positive, got {alpha}")
-    scalar = np.isscalar(lam) or (isinstance(lam, np.ndarray) and lam.ndim == 0)
-    x = _as_lambda_array(lam)
-
-    if spec.kind == "tikhonov":
-        r = alpha / (x + alpha)
-    elif spec.kind == "showalter":
-        r = np.exp(-x / alpha)
-    elif spec.kind == "cutoff":
-        r = np.where(x >= alpha, 0.0, 1.0)
-    else:  # landweber
-        step = spec.landweber_step
-        if np.any(step * x > 1.0 + 1e-12):
-            raise InvalidParameterError(
-                "landweber step violates step * lambda <= 1 on these eigenvalues"
-            )
-        n_iter = math.ceil((1.0 / alpha) * (1.0 - 1e-12))
-        r = np.clip(1.0 - step * x, 0.0, 1.0) ** n_iter
-    return _maybe_scalar(r, scalar)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the ordered-filter axiom checks on a sample grid."""

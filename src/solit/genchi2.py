@@ -204,12 +204,6 @@ def mc_tail_quantiles(w, ps, samples: int, seed: int) -> np.ndarray:
     return np.quantile(z, 1.0 - ps)
 
 
-def mc_tail_quantile(w, p: float, samples: int, seed: int) -> float:
-    """Empirical upper-tail quantile of Z = sum a_i eps_i^2 from ``samples``
-    seeded draws."""
-    return float(mc_tail_quantiles(w, [p], samples, seed)[0])
-
-
 def critical_value_z(
     problem: SpectralProblem,
     spec: FilterSpec,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from solit import FilterSpec, InvalidParameterError, filter_weight, residual_weight, validate_ordered_filter
+from solit import FilterSpec, InvalidParameterError, filter_weight, validate_ordered_filter
 
 
 def all_specs(lam_max=1.0):
@@ -58,27 +58,6 @@ class TestFilterWeight:
             np.testing.assert_allclose(vec, scalars)
 
 
-class TestResidualWeight:
-    def test_tikhonov_half(self):
-        assert residual_weight(FilterSpec("tikhonov"), 0.5, 0.5) == 0.5
-
-    def test_cutoff_above_threshold(self):
-        assert residual_weight(FilterSpec("cutoff"), 0.1, 0.5) == 0.0
-        assert residual_weight(FilterSpec("cutoff"), 0.1, 0.05) == 1.0
-
-    def test_showalter_exponential(self):
-        assert residual_weight(FilterSpec("showalter"), 1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-
-    def test_complement_identity(self):
-        # residual + lambda * weight = 1 on sampled points
-        lam = np.linspace(0.0, 1.0, 37)
-        alphas = 1.0 / np.arange(1, 30)
-        for spec in all_specs():
-            for a in alphas:
-                total = residual_weight(spec, a, lam) + lam * filter_weight(spec, a, lam)
-                np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-
 class TestOrderedFilterAxioms:
     @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff", "landweber"])
     def test_axioms_on_100x100_grid(self, kind):
@@ -112,10 +91,11 @@ class TestOrderedFilterAxioms:
         assert any("ordering" in v for v in report.violations)
 
     def test_tikhonov_qualification(self):
-        # sup over lambda of lambda * (1 - lambda q) <= alpha
+        # sup over lambda of lambda * (1 - lambda q) <= alpha; the Tikhonov
+        # residual 1 - lambda q is alpha / (lambda + alpha) = alpha q
         lam = np.linspace(0.0, 1.0, 500)
         for a in (1e-3, 0.05, 0.3, 1.0, 5.0):
-            res = lam * residual_weight(FilterSpec("tikhonov"), a, lam)
+            res = lam * a * filter_weight(FilterSpec("tikhonov"), a, lam)
             assert np.max(res) <= a + 1e-12
 
 

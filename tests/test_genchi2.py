@@ -16,7 +16,6 @@ from solit import (
     ltz_quantile_for_weights,
     ltz_tail_quantile,
     ltz_tail_sf,
-    mc_tail_quantile,
     noncentral_chi2_sf,
 )
 from solit.filters import filter_weight
@@ -226,28 +225,28 @@ class TestLtzTailQuantile:
 
 class TestMcTailQuantile:
     def test_chi2_1_quantile(self):
-        q = mc_tail_quantile([1.0], 0.05, 10**6, seed=7)
+        q = mc_tail_quantiles([1.0], [0.05], 10**6, seed=7)[0]
         assert q == pytest.approx(3.84, abs=0.03)
 
     def test_chi2_1_median(self):
-        q = mc_tail_quantile([1.0], 0.5, 10**6, seed=7)
+        q = mc_tail_quantiles([1.0], [0.5], 10**6, seed=7)[0]
         assert q == pytest.approx(CHI2_1_MEDIAN, abs=0.005)
 
     def test_determinism(self):
         a = [1.0, 0.5]
-        assert mc_tail_quantile(a, 0.1, 2000, seed=3) == mc_tail_quantile(a, 0.1, 2000, seed=3)
+        assert mc_tail_quantiles(a, [0.1], 2000, seed=3)[0] == mc_tail_quantiles(a, [0.1], 2000, seed=3)[0]
 
     def test_doubling_samples_roughly_halves_variance(self):
         qs_small, qs_big = [], []
         for s in range(100):
-            qs_small.append(mc_tail_quantile([1.0], 0.1, 4000, seed=s))
-            qs_big.append(mc_tail_quantile([1.0], 0.1, 8000, seed=10_000 + s))
+            qs_small.append(mc_tail_quantiles([1.0], [0.1], 4000, seed=s)[0])
+            qs_big.append(mc_tail_quantiles([1.0], [0.1], 8000, seed=10_000 + s)[0])
         ratio = np.var(qs_small) / np.var(qs_big)
         assert 1.3 <= ratio <= 3.1
 
     def test_sample_floor(self):
         with pytest.raises(InvalidParameterError):
-            mc_tail_quantile([1.0], 0.1, 999, seed=0)
+            mc_tail_quantiles([1.0], [0.1], 999, seed=0)
 
     def test_multi_tail_consistency(self):
         qs = mc_tail_quantiles([1.0, 0.5], (0.3, 0.1), 5000, seed=2)
@@ -294,5 +293,5 @@ class TestCriticalValue:
             w = lam * (filter_weight(spec, grid.alphas[m1], lam) - filter_weight(spec, grid.alphas[m1 + 1], lam)) ** 2
             for x in (1.0, 2.0):
                 z = critical_value_z(small_heat, spec, grid.alphas[m1], grid.alphas[m1 + 1], x)
-                mc = math.sqrt(mc_tail_quantile(w, math.exp(-x), 200_000, seed=m1))
+                mc = math.sqrt(mc_tail_quantiles(w, [math.exp(-x)], 200_000, seed=m1)[0])
                 assert z == pytest.approx(mc, rel=0.05)
