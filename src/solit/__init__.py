@@ -2,6 +2,8 @@
 SOLIT, Lepskii-type, oracle and noise-level parameter choice rules, plus a
 Monte Carlo experiment harness for convergence-rate studies."""
 
+__version__ = "0.1.0"  # set before the submodules load: harness records it in meta.json
+
 from .candidates import (
     CandidateGrid,
     build_grid,
@@ -58,8 +60,6 @@ from .testproblems import (
     heat_problem,
     synthesize,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CandidateGrid",

@@ -1,11 +1,17 @@
 """Tail probabilities and quantiles of generalized chi-squared variables.
 
-The variable of interest is Z = sum_i a_i eps_i^2 with nonnegative weights
-a_i and independent standard normal eps_i.  Its upper tail is approximated by
-matching skewness and kurtosis to a (possibly non-central) chi-squared
-distribution.  For nonnegative weights the match is a central chi-squared,
-so quantiles follow in closed form from its inverse survival function.  A
-seeded Monte Carlo quantile is provided as the independent cross-check.
+The variable of interest is Z = sum_i a_i eps_i^2 with nonnegative, finite
+weights a_i and independent standard normal eps_i.  Its upper tail is
+approximated by matching skewness and kurtosis to a (possibly non-central)
+chi-squared distribution.  For nonnegative weights the match is a central
+chi-squared, so quantiles follow in closed form from its inverse survival
+function.
+
+The independent cross-check is a seeded Monte Carlo sampler.  It only ever
+needs the squares eps_i^2, and draws them in pairs by squared Box-Muller:
+with R^2 = -2 ln U and theta = pi V for independent uniforms U and V,
+R^2 cos^2(theta) and R^2 sin^2(theta) are two independent chi-squared(1)
+variables (Box & Muller 1958, Ann. Math. Statist. 29).
 """
 
 from __future__ import annotations
@@ -21,23 +27,35 @@ from .filters import FilterSpec, filter_weight
 from .sequence_model import SpectralProblem
 
 _POISSON_MASS_TOL = 1e-14
+_BLOCK_ELEMENTS = 2**16  # squared normals per Monte Carlo block
 
 
-def _weights_array(w, max_ndim: int = 1) -> np.ndarray:
+def _weights_array(w, max_ndim: int = 1) -> tuple:
+    """The weights as a float array and the largest weight of each vector;
+    raises unless they are finite and nonnegative."""
     arr = np.asarray(w, dtype=float)
     if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
         raise InvalidParameterError("weights must form a nonempty vector (or stack of vectors)")
     if np.any(arr < 0):
         raise InvalidParameterError("weights must be nonnegative")
-    return arr
+    amax = np.max(arr, axis=-1)
+    # past the sign check the largest weight is NaN or inf exactly when some
+    # weight is, so one reduction covers both the scale and the finiteness
+    if not np.all(np.isfinite(amax)):
+        raise InvalidParameterError("weights must be finite")
+    return arr, amax
+
+
+def _power_sums(a: np.ndarray) -> tuple:
+    a2 = a * a  # products, not a**3 and a**4: the generic power is far slower
+    return tuple(np.sum(b, axis=-1) for b in (a, a2, a2 * a, a2 * a2))
 
 
 def cumulant_traces(w) -> tuple:
     """Power sums (sum a, sum a^2, sum a^3, sum a^4) of the weights: floats
     for one vector, arrays with one entry per row for a stack (r, n)."""
-    a = _weights_array(w, max_ndim=2)
-    a2 = a * a  # products, not a**3 and a**4: the generic power is far slower
-    sums = tuple(np.sum(b, axis=-1) for b in (a, a2, a2 * a, a2 * a2))
+    a, _ = _weights_array(w, max_ndim=2)
+    sums = _power_sums(a)
     return tuple(float(s) for s in sums) if a.ndim == 1 else sums
 
 
@@ -152,43 +170,59 @@ def ltz_quantile_for_weights(w, p: float):
     the fourth power sum inside float64 range for strongly amplifying weight
     vectors.  An all-zero vector has quantile 0.
     """
-    a = _weights_array(w, max_ndim=2)
+    a, amax = _weights_array(w, max_ndim=2)
     rows = np.atleast_2d(a)
-    amax = np.max(rows, axis=1)
+    amax = np.atleast_1d(amax)
     q = np.zeros(rows.shape[0])
     live = amax > 0.0
     if np.any(live):
-        cumulants = cumulant_traces(rows[live] / amax[live, None])
+        cumulants = _power_sums(rows[live] / amax[live, None])
         q[live] = amax[live] * ltz_tail_quantile(cumulants, p)
     return float(q[0]) if a.ndim == 1 else q
 
 
 def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
-    """Seeded draws of Z = sum a_i eps_i^2.
+    """Seeded draws of Z = sum a_i eps_i^2, deterministic given the seed.
 
     Weights below 1e-9 of the largest are dropped: their total mean mass
     shifts any quantile by a relative amount far below the Monte Carlo noise
-    at the supported sample sizes.  Normals are generated in float32 (the
-    per-draw rounding of eps^2 is ~1e-7 relative, again far below the MC
-    noise); the draws are deterministic given the seed.
+    at the supported sample sizes.
+
+    The squared normals come in squared Box-Muller pairs, one 64-bit word of
+    a ``PCG64DXSM(seed)`` stream per pair.  The word's two 32-bit halves u
+    and v give U = (u + 1/2) 2^-32 in (0, 1], R^2 = -2 ln U and
+    theta = pi v 2^-32, and the pair is (R^2 cos^2 theta, R^2 - R^2 cos^2
+    theta).  The pairs fill each (samples, kept weights) block row by row,
+    and every block but the last holds an even number of squares, so the
+    squared normals do not depend on the block size.  All of it runs in
+    float32: each eps^2 carries about 1e-7 relative rounding, far below the
+    Monte Carlo noise.  The largest possible square is -2 ln 2^-33 = 45.75;
+    the chi-squared(1) mass beyond it is 1.3e-11, out of reach of any
+    supported sample size.
     """
-    a = _weights_array(w)
-    amax = float(np.max(a))
-    if amax > 0:
-        a = a[a > amax * 1e-9]
+    a, amax = _weights_array(w)
     if amax == 0.0:
         return np.zeros(samples)
-    a32 = a.astype(np.float32)
-    rng = np.random.Generator(np.random.PCG64DXSM(seed))
+    a32 = a[a > amax * 1e-9].astype(np.float32)
+    k = a32.size
+    rows = max(2, min(_BLOCK_ELEMENTS // k, samples + 1) & ~1)  # even, so rows * k is even
+    bitgen = np.random.PCG64DXSM(seed)
     z = np.empty(samples)
-    chunk = max(1, int(2**23 // a.size))
-    filled = 0
-    while filled < samples:
-        m = min(chunk, samples - filled)
-        eps = rng.standard_normal((m, a.size), dtype=np.float32)
-        np.square(eps, out=eps)
-        z[filled : filled + m] = eps @ a32
-        filled += m
+    for start in range(0, samples, rows):
+        m = min(rows, samples - start)
+        need = (m * k + 1) // 2
+        words = bitgen.random_raw(need).view(np.uint32).reshape(need, 2)
+        r2 = np.add(words[:, 0], np.float32(0.5), dtype=np.float32)
+        r2 *= np.float32(2.0**-32)
+        np.log(r2, out=r2)
+        r2 *= np.float32(-2.0)
+        cos2 = np.multiply(words[:, 1], np.float32(math.pi * 2.0**-32), dtype=np.float32)
+        np.cos(cos2, out=cos2)
+        cos2 *= cos2
+        pairs = np.empty((need, 2), dtype=np.float32)
+        np.multiply(r2, cos2, out=pairs[:, 0])
+        np.subtract(r2, pairs[:, 0], out=pairs[:, 1])
+        z[start : start + m] = pairs.reshape(-1)[: m * k].reshape(m, k) @ a32
     return z
 
 

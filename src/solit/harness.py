@@ -24,10 +24,13 @@ import csv
 import json
 import math
 import os
+import platform
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .candidates import CandidateGrid, build_grid, weak_variance_u
 from .errors import InvalidParameterError
 from .filters import FilterSpec
@@ -319,7 +322,8 @@ def _fmt(x: float) -> str:
 
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write results.csv, one grid_XYZ.csv per noise level, selections.csv
-    with the selected-index histograms, and meta.json echoing the config."""
+    with the selected-index histograms, and meta.json echoing the config and
+    the package and library versions (``read_results`` ignores those)."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -366,6 +370,12 @@ def write_results(result: ExperimentResult, path: str) -> None:
             }
             for cell in result.cells
         ],
+        "versions": {
+            "solit": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, allow_nan=True)

@@ -1,7 +1,15 @@
 """Shared fixtures: reduced-size benchmark problems keep the unit suites fast;
 the acceptance module builds the full-size ones itself."""
 
-import numpy as np
+import os
+
+# one BLAS/OpenMP thread, as in perfbench: pools sized to the machine slow
+# the suite many times over when another job shares the cores.  Set before
+# numpy loads, since the pools are sized when the library starts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from solit import (

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from solit import (
     noncentral_chi2_sf,
 )
 from solit.filters import filter_weight
-from solit.genchi2 import mc_tail_quantiles
+from solit import genchi2
+from solit.genchi2 import mc_sample_quadratic_form, mc_tail_quantiles
 from conftest import synthetic_problem
 
 CHI2_1_Q95 = 3.8414588206941285  # scipy.special.chdtri(1, 0.05)
@@ -42,6 +44,30 @@ class TestCumulantTraces:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidParameterError):
             cumulant_traces([1.0, -0.1])
+
+
+NON_FINITE_WEIGHTS = [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]]
+
+
+class TestNonFiniteWeightsRejected:
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS)
+    def test_cumulant_traces(self, w):
+        with pytest.raises(InvalidParameterError):
+            cumulant_traces(w)
+        with pytest.raises(InvalidParameterError):
+            cumulant_traces([[1.0, 2.0], w])
+
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS)
+    def test_ltz_quantile_for_weights(self, w):
+        with pytest.raises(InvalidParameterError):
+            ltz_quantile_for_weights(w, 0.1)
+        with pytest.raises(InvalidParameterError):
+            ltz_quantile_for_weights([[1.0, 2.0], w], 0.1)
+
+    @pytest.mark.parametrize("w", NON_FINITE_WEIGHTS)
+    def test_mc_tail_quantiles(self, w):
+        with pytest.raises(InvalidParameterError):
+            mc_tail_quantiles(w, [0.1], 1000, seed=0)
 
 
 class TestNoncentralChi2:
@@ -251,6 +277,68 @@ class TestMcTailQuantile:
     def test_multi_tail_consistency(self):
         qs = mc_tail_quantiles([1.0, 0.5], (0.3, 0.1), 5000, seed=2)
         assert qs[0] < qs[1]
+
+
+class TestMcSampler:
+    def test_determinism(self):
+        a = [1.0, 0.5, 0.25]
+        z = mc_sample_quadratic_form(a, 5001, seed=11)
+        assert np.array_equal(z, mc_sample_quadratic_form(a, 5001, seed=11))
+        assert not np.array_equal(z, mc_sample_quadratic_form(a, 5001, seed=12))
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 1.0]])
+    def test_stream_independent_of_block_size(self, a, monkeypatch):
+        # unit weights make the float32 contraction exact, so the draws
+        # themselves are compared bit for bit
+        ref = mc_sample_quadratic_form(a, 1001, seed=9)
+        for elements in (1, 5, 10, 64):
+            monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
+            assert np.array_equal(mc_sample_quadratic_form(a, 1001, seed=9), ref)
+
+    @pytest.mark.parametrize("a", [[1.0, 0.5, 0.25], [1.0, 3.0, 0.1, 2.0]])
+    def test_mixed_weights_independent_of_block_size(self, a, monkeypatch):
+        # the contraction may sum in another order per block size; a shifted
+        # stream would move the draws by far more than float32 rounding
+        ref = mc_sample_quadratic_form(a, 1001, seed=9)
+        for elements in (1, 5, 10, 64):
+            monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
+            np.testing.assert_allclose(mc_sample_quadratic_form(a, 1001, seed=9), ref, rtol=1e-6, atol=0.0)
+
+    def test_draws_bounded_by_cap(self):
+        z = mc_sample_quadratic_form([1.0], 10**6, seed=5)
+        assert z.min() >= 0.0 and z.max() <= 45.8
+
+    def test_all_zero_words_reach_cap(self, monkeypatch):
+        class ZeroWords:
+            def __init__(self, seed):
+                pass
+
+            def random_raw(self, size):
+                return np.zeros(size, dtype=np.uint64)
+
+        monkeypatch.setattr(genchi2.np.random, "PCG64DXSM", ZeroWords)
+        z = mc_sample_quadratic_form([1.0], 4, seed=0)
+        assert np.array_equal(z[1::2], np.zeros(2))
+        np.testing.assert_allclose(z[0::2], -2.0 * math.log(2.0**-33), rtol=1e-6)
+        assert z.max() <= 45.8
+
+    def test_mean_and_variance(self):
+        a = np.array([2.0, 1.0, 0.5, 0.5, 0.1, 3.0, 0.02])
+        n = 400_000
+        z = mc_sample_quadratic_form(a, n, seed=21)
+        c1, c2, _, c4 = cumulant_traces(a)
+        # Z has cumulants k1 = sum a, k2 = 2 sum a^2 and k4 = 48 sum a^4
+        assert abs(z.mean() - c1) <= 5.0 * math.sqrt(2.0 * c2 / n)
+        var_se = math.sqrt((48.0 * c4 + 2.0 * (2.0 * c2) ** 2) / n)
+        assert abs(z.var() - 2.0 * c2) <= 5.0 * var_se
+
+    @pytest.mark.parametrize(("a", "dof", "seed"), [([1.0], 1, 3), ([1.0, 1.0, 1.0], 3, 4)])
+    def test_kolmogorov_smirnov_against_chi2(self, a, dof, seed):
+        z = mc_sample_quadratic_form(a, 200_000, seed)
+        assert stats.kstest(z, "chi2", args=(dof,)).pvalue > 0.01
+
+    def test_no_standard_normal_path(self):
+        assert "standard_normal" not in inspect.getsource(genchi2)
 
 
 class TestCriticalValue:

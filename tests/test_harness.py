@@ -1,10 +1,14 @@
 import copy
+import json
 import math
+import platform
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
+import solit
 from solit import (
     ExperimentConfig,
     FilterSpec,
@@ -359,6 +363,13 @@ class TestSerialization:
                 np.testing.assert_array_equal(
                     cb.selectors[name].histogram, ca.selectors[name].histogram
                 )
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["versions"] == {
+            "solit": solit.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_row_count(self, tmp_path):
         cfg = ExperimentConfig(**{**SMALL, "sigma_count": 2, "selectors": ("solit", "optimal")})
