@@ -223,8 +223,8 @@ def build_grid(
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.size == 0 or not np.all(sigmas > 0):
         raise InvalidParameterError("noise level must be positive")
-    if theta <= 1:
-        raise InvalidParameterError("theta must exceed 1")
+    if not 1 < theta < math.inf:
+        raise InvalidParameterError("theta must be finite and exceed 1")
     if v_start <= 0:
         raise InvalidParameterError("v_start must be positive")
 

@@ -38,7 +38,7 @@ from .harness import (
 )
 from .selectors import build_thresholds, solit_select
 from .sequence_model import estimate, estimator_weights, simulate_data
-from .testproblems import get_problem, synthesize
+from .testproblems import DOMAINS, get_problem, synthesize
 
 _QUANTILE_CHECK_TAILS = (math.exp(-1), math.exp(-2), math.exp(-4))
 
@@ -128,7 +128,10 @@ def _merge_simulate_options(args: argparse.Namespace) -> dict:
     opts = dict(_SIM_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidParameterError(f"config file {args.config} is not valid JSON: {exc}") from None
         unknown = set(loaded) - set(_SIM_DEFAULTS)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -196,6 +199,8 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantile_check(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InvalidParameterError("seed must be nonnegative")
     opts, problem, spec = _problem_and_filter(args)
     grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
     w_rows = estimator_weights(problem, spec, grid.alphas)
@@ -213,6 +218,8 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise InvalidParameterError("--points must be at least 1")
     opts, problem, spec = _problem_and_filter(args)
     data = simulate_data(problem, args.sigma, args.seed)
     if args.alpha is not None:
@@ -223,8 +230,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         bhat = _pairwise_distance_table(estimator_weights(problem, spec, grid.alphas) * data.y)
         alpha = float(grid.alphas[solit_select(bhat, thresholds)])
     coeffs = estimate(problem, data, spec, alpha)
-    domain = (0.0, 1.0) if opts["problem"] == "antiderivative" else (-math.pi, math.pi)
-    xs = np.linspace(domain[0], domain[1], args.points)
+    xs = np.linspace(*DOMAINS[opts["problem"]], args.points)
     values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))
     print(f"# alpha={alpha:.9g}")
     print("x,value")
@@ -244,7 +250,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidParameterError, ConfigurationError) as exc:
+    except (InvalidParameterError, ConfigurationError, OSError) as exc:
         print(f"solit {args.command}: error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 The variable of interest is Z = sum_i a_i eps_i^2 with nonnegative, finite
 weights a_i and independent standard normal eps_i.  Its upper tail is
-approximated by matching skewness and kurtosis to a (possibly non-central)
-chi-squared distribution.  For nonnegative weights the match is a central
-chi-squared, so quantiles follow in closed form from its inverse survival
-function.
+approximated by matching skewness and kurtosis to a chi-squared
+distribution.  For nonnegative weights the match is a central chi-squared, so
+tail probabilities and quantiles follow in closed form from its survival
+function and its inverse.  ``noncentral_chi2_sf`` stays available on its own.
 
 The independent cross-check is a seeded Monte Carlo sampler.  It only ever
 needs the squares eps_i^2, and draws them in pairs by squared Box-Muller:
@@ -91,44 +91,25 @@ def noncentral_chi2_sf(l: float, delta: float, x: float) -> float:
     return min(max(sf, 0.0), 1.0)
 
 
-def _gaussian_tail_sf(c1: float, c2: float, t: float) -> float:
-    z = (t - c1) / math.sqrt(2.0 * c2)
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def ltz_tail_sf(cumulants, t: float) -> float:
     """Skewness/kurtosis-matched chi-squared approximation of P(Z > t).
 
-    With s1 = c3 / c2^{3/2} and s2 = c4 / c2^2 the matched parameters are
+    Nonnegative weights match the central chi-squared with
+    l = c2^3 / c3^2 degrees of freedom (see ``ltz_tail_quantile``), so
 
-      if s1^2 > s2:  a = 1/(s1 - sqrt(s1^2 - s2)), delta = s1 a^3 - a^2,
-                     l = a^2 - 2 delta
-      else:          delta = 0, l = c2^3 / c3^2, a = 1/s1
+      P(Z > t) ~ P(chi2_l > l + (t - c1) c2 / c3),
 
-    and P(Z > t) ~ P(chi2_l(delta) > sqrt(2) a (t - c1)/sqrt(2 c2) + l + delta).
-    A vanishing third cumulant (possible only for degenerate weights) falls
-    back to the Gaussian tail.
+    the exact inverse of ``ltz_tail_quantile``.  Raises when c2 <= 0 or
+    c3 <= 0 (no skewness to match).
     """
-    c1, c2, c3, c4 = (float(c) for c in cumulants)
-    if c2 <= 0:
+    c1, c2, c3, _ = (float(c) for c in cumulants)
+    if not c2 > 0:
         raise InvalidParameterError("second cumulant trace must be positive")
-    s1 = c3 / c2**1.5
-    s2 = c4 / c2**2
-    if c3 <= 0 or s1 < 1e-150:
-        return _gaussian_tail_sf(c1, c2, t)
-    if s1 * s1 > s2:
-        root = math.sqrt(s1 * s1 - s2)
-        a = 1.0 / (s1 - root)
-        delta = s1 * a**3 - a**2
-        l = a * a - 2.0 * delta
-    else:
-        delta = 0.0
-        l = c2**3 / c3**2
-        a = 1.0 / s1
-    if not (math.isfinite(l) and l > 0 and math.isfinite(delta) and delta >= 0):
-        return _gaussian_tail_sf(c1, c2, t)
-    x = math.sqrt(2.0) * a * (t - c1) / math.sqrt(2.0 * c2) + l + delta
-    return noncentral_chi2_sf(l, delta, x)
+    if not c3 > 0:
+        raise InvalidParameterError("third cumulant trace must be positive")
+    l = c2**3 / c3**2
+    # chdtrc is NaN below 0, where the tail probability is 1
+    return float(special.chdtrc(l, max(l + (t - c1) * c2 / c3, 0.0)))
 
 
 def ltz_tail_quantile(cumulants, p):
@@ -140,9 +121,7 @@ def ltz_tail_quantile(cumulants, p):
 
       t = c1 + (c3 / c2) (chdtri(l, p) - l).
 
-    The non-central branch of ``ltz_tail_sf`` is reached only through
-    rounding at c3^2 = c2 c4, where its delta -> 0 limit is this central
-    form.  The cumulants and ``p`` may be arrays (broadcast together); a
+    The cumulants and ``p`` may be arrays (broadcast together); a
     scalar call returns a float.  Raises when c3 <= 0 (no skewness to match)
     or the result is not finite.
     """

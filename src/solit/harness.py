@@ -81,6 +81,12 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown selectors: {sorted(unknown)}")
         if self.runs < 1:
             raise InvalidParameterError("at least one Monte Carlo run is required")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
+        # NaN and inf fail here; the ranges are checked where the values are used
+        for name in ("theta", "beta", "gamma", "kappa_tune", "sigma_start"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
         if not (0 < self.sigma_stop < self.sigma_start):
             raise InvalidParameterError("need sigma_start > sigma_stop > 0")
         if self.sigma_count < 1:

@@ -97,10 +97,8 @@ def build_thresholds(
     sqrt(pairwise_variance_v).  The tables of every prefix of the grid follow
     by ``ThresholdTable.restrict``.
     """
-    if beta <= 0:
-        raise InvalidParameterError("beta must be positive")
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
+    if not (0 < beta < math.inf and 0 < gamma < math.inf):
+        raise InvalidParameterError("beta and gamma must be finite and positive")
     mm = grid.m_max
     x = 2.0 * (1.0 + gamma) * np.log(grid.v[1:] / grid.v[0])
     w_rows = estimator_weights(problem, spec, grid.alphas)
@@ -161,8 +159,8 @@ def lepskii_select(
     bhat_{m1,m2} <= 4 * kappa_tune * mu_{m2} for all m2 > m1, where
     mu_k = sigma * sqrt(V(alpha_k)).  ``bhat`` may be a stack (..., k, k) of
     tables; the result then holds one index per table."""
-    if kappa_tune < 1:
-        raise InvalidParameterError("kappa_tune must be at least 1")
+    if not 1 <= kappa_tune < math.inf:
+        raise InvalidParameterError("kappa_tune must be finite and at least 1")
     mu = np.sqrt(grid.v)
     if sigma is not None and sigma != grid.sigma:
         mu = mu * (sigma / grid.sigma)

@@ -81,6 +81,8 @@ def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> DataReal
     """
     if sigma <= 0:
         raise InvalidParameterError(f"noise level must be positive, got {sigma}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     eps = rng.standard_normal(problem.n)
     return DataRealization(y=problem.data_truth + sigma * eps, sigma=float(sigma), seed=int(seed))

@@ -1,6 +1,10 @@
 """The three benchmark problems in sequence space.
 
-Every truth vector is built from its exact coefficients:
+Each problem is defined once.  ``_<name>_modes`` checks the parameters and
+returns the eigenvalues and basis tags in coordinate order without any
+quadrature, which is all ``synthesize`` needs; the builder ``<name>_problem``
+adds truth and data.  Defaults live only in the builders' signatures, against
+which ``get_problem`` and ``synthesize`` bind their keyword overrides.
 
   antiderivative  second-antiderivative operator on L2([0,1]) with Dirichlet
                   sine basis sqrt(2) sin(k pi x); lam_k = (k pi)^-4; truth is
@@ -12,28 +16,27 @@ Every truth vector is built from its exact coefficients:
                   lam_k = exp(-2 k^2 t_bar) plus the invariant mode 0; truth
                   the same tent.
 
-The operator is diagonal in these coordinates, so the exact data are
-g_k = sqrt(lam_k) f_k; there is no discretization error for a quadrature to
-expose.  The antiderivative data are built that way.  The gradiometry and heat
-data are still composite Gauss-Legendre projections of their data functions:
-the gradiometry potential's analytic cosine series, and the heat solution
-synthesized from the exact Fourier multiplier at four times the operator's
-truncation.  Their closed forms differ from the projections only by
-quadrature rounding, but that moves the benchmark MSEs by up to 2e-7, while
-the stored benchmark reference (perfbench/reference.json) holds them to 1e-9.
-They switch to the closed form when that reference is regenerated.
+Every truth vector is built from its exact coefficients.  The operator is
+diagonal in these coordinates, so the exact data are g_k = sqrt(lam_k) f_k,
+as the antiderivative data are built.  Only the gradiometry and heat data
+still use quadrature: composite Gauss-Legendre projections of the gradiometry
+potential's analytic cosine series and of the heat solution synthesized from
+the exact Fourier multiplier at four times the operator's truncation.  Their
+closed forms differ only by quadrature rounding, but that moves the benchmark
+MSEs by up to 2e-7, while the stored benchmark reference
+(perfbench/reference.json) holds them to 1e-9.  They switch to the closed
+form when that reference is regenerated.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .sequence_model import SpectralProblem
-
-PROBLEM_NAMES = ("antiderivative", "gradiometry", "heat")
 
 
 # --------------------------------------------------------------------------
@@ -64,22 +67,34 @@ def _nodes_for_frequency(max_freq: float, piece_len: float) -> int:
 def _basis_values(tags, xs: np.ndarray) -> np.ndarray:
     """Rows of orthonormal basis functions evaluated at ``xs``.
 
-    Tags: ("dsin", k) is sqrt(2) sin(k pi x) on [0, 1]; ("const", 0),
-    ("cos", k), ("sin", k) are the orthonormal Fourier basis on [-pi, pi].
+    ``tags`` is a pair (kinds, modes) of arrays with one entry per row:
+    ("dsin", k) is sqrt(2) sin(k pi x) on [0, 1]; ("const", 0), ("cos", k),
+    ("sin", k) are the orthonormal Fourier basis on [-pi, pi].
     """
-    rows = np.empty((len(tags), xs.size))
-    for i, (kind, k) in enumerate(tags):
+    kinds, modes = tags
+    rows = np.empty((len(modes), xs.size))
+    for i, (kind, k) in enumerate(zip(kinds.tolist(), modes.tolist())):
         if kind == "dsin":
             rows[i] = math.sqrt(2.0) * np.sin(k * math.pi * xs)
         elif kind == "const":
             rows[i] = 1.0 / math.sqrt(2.0 * math.pi)
         elif kind == "cos":
             rows[i] = np.cos(k * xs) / math.sqrt(math.pi)
-        elif kind == "sin":
+        else:  # "sin"
             rows[i] = np.sin(k * xs) / math.sqrt(math.pi)
-        else:  # pragma: no cover
-            raise InvalidParameterError(f"unknown basis tag {kind!r}")
     return rows
+
+
+# the physical domain of each problem's basis
+DOMAINS = {
+    "antiderivative": (0.0, 1.0),
+    "gradiometry": (-math.pi, math.pi),
+    "heat": (-math.pi, math.pi),
+}
+
+
+def _cos_tags(modes: np.ndarray) -> tuple:
+    return np.full(modes.size, "cos"), modes
 
 
 def _project(tags, f_vals: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -105,20 +120,18 @@ def _tent_coefficients(k: np.ndarray) -> np.ndarray:
 # antiderivative problem
 # --------------------------------------------------------------------------
 
-def _build_antiderivative(n: int):
+def _antiderivative_modes(n: int):
     if n < 8:
         raise InvalidParameterError("antiderivative problem needs n >= 8")
     k = np.arange(1, n + 1)
-    lam = (k * math.pi) ** -4.0
-    truth = _hat_coefficients(k)
-    tags = [("dsin", int(kk)) for kk in k]
-    return lam, truth, np.sqrt(lam) * truth, tags
+    return (k * math.pi) ** -4.0, (np.full(n, "dsin"), k)
 
 
 def antiderivative_problem(n: int = 2000) -> SpectralProblem:
     """Mildly ill-posed benchmark with lam_k = (k pi)^-4."""
-    lam, truth, data, _ = _build_antiderivative(n)
-    return SpectralProblem(lam, truth, data, label="antiderivative")
+    lam, (_, k) = _antiderivative_modes(n)
+    truth = _hat_coefficients(k)
+    return SpectralProblem(lam, truth, np.sqrt(lam) * truth, label="antiderivative")
 
 
 # --------------------------------------------------------------------------
@@ -128,14 +141,24 @@ def antiderivative_problem(n: int = 2000) -> SpectralProblem:
 _GRADIOMETRY_DATA_MODES = 257  # the analytic data series runs at least this far
 
 
-def _build_gradiometry(n: int, R: float):
+def _gradiometry_modes(n: int, R: float):
+    """The cosine and sine of each mode k >= 1 share lam_k; coordinates are
+    sorted by decreasing eigenvalue, ties kept in mode order."""
     if n < 2:
         raise InvalidParameterError("gradiometry problem needs n >= 2")
-    if R <= 1:
+    if not R > 1:
         raise InvalidParameterError("relative satellite radius R must exceed 1")
-    ks = np.arange(1, n + 1)
-    lam_by_k = ks**2 * (ks + 1.0) ** 2 * float(R) ** (-2.0 * ks - 4.0)
+    k = np.arange(1, n + 1)
+    lam = np.repeat(k**2 * (k + 1.0) ** 2 * float(R) ** (-2.0 * k - 4.0), 2)
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], (np.tile(["cos", "sin"], n)[order], np.repeat(k, 2)[order])
 
+
+def gradiometry_problem(n: int = 129, R: float = 2.0) -> SpectralProblem:
+    """Severely ill-posed gradiometry benchmark; mode 0 is excluded since the
+    forward map annihilates it.  Coordinates are sorted by decreasing
+    eigenvalue (the raw symbol is not monotone in the mode number)."""
+    lam, (kinds, k) = _gradiometry_modes(n, R)
     data_modes = max(_GRADIOMETRY_DATA_MODES, n)
     nodes = _nodes_for_frequency(data_modes + n, math.pi)
     xs, ws = _piecewise_gauss([-math.pi, 0.0, math.pi], nodes)
@@ -145,28 +168,10 @@ def _build_gradiometry(n: int, R: float):
     g_vals = np.zeros_like(xs)
     for j in range(1, data_modes + 1, 2):
         g_vals += (4.0 / math.pi) * (1.0 + 1.0 / j) * R ** (-j - 2.0) * np.cos(j * xs)
-    truth_cos = _tent_coefficients(ks)
-    data_cos = _project([("cos", int(k)) for k in ks], g_vals, xs, ws)
-
-    lam, truth, data, tags = [], [], [], []
-    for i, k in enumerate(ks):
-        lam.extend([lam_by_k[i], lam_by_k[i]])
-        truth.extend([truth_cos[i], 0.0])
-        data.extend([data_cos[i], 0.0])
-        tags.extend([("cos", int(k)), ("sin", int(k))])
-    order = np.argsort(-np.asarray(lam), kind="stable")
-    lam = np.asarray(lam)[order]
-    truth = np.asarray(truth)[order]
-    data = np.asarray(data)[order]
-    tags = [tags[i] for i in order]
-    return lam, truth, data, tags
-
-
-def gradiometry_problem(n: int = 129, R: float = 2.0) -> SpectralProblem:
-    """Severely ill-posed gradiometry benchmark; mode 0 is excluded since the
-    forward map annihilates it.  Coordinates are sorted by decreasing
-    eigenvalue (the raw symbol is not monotone in the mode number)."""
-    lam, truth, data, _ = _build_gradiometry(n, R)
+    ks = np.arange(1, n + 1)
+    cos = kinds == "cos"
+    truth = np.where(cos, _tent_coefficients(k), 0.0)
+    data = np.where(cos, _project(_cos_tags(ks), g_vals, xs, ws)[k - 1], 0.0)
     return SpectralProblem(lam, truth, data, label="gradiometry")
 
 
@@ -174,10 +179,11 @@ def gradiometry_problem(n: int = 129, R: float = 2.0) -> SpectralProblem:
 # heat problem
 # --------------------------------------------------------------------------
 
-def _build_heat(n: int, t_bar: float):
+def _heat_modes(n: int, t_bar: float):
+    """The invariant mode 0, then the cosine and sine of each mode k >= 1."""
     if n < 2:
         raise InvalidParameterError("heat problem needs n >= 2")
-    if t_bar <= 0:
+    if not t_bar > 0:
         raise InvalidParameterError("diffusion time t_bar must be positive")
     # eigenvalues underflow to exactly 0 in float64 once 2 k^2 t_bar > ~745
     if 2.0 * n**2 * t_bar > 700.0:
@@ -185,37 +191,30 @@ def _build_heat(n: int, t_bar: float):
             f"heat truncation n={n} underflows float64 eigenvalues; "
             f"need 2 n^2 t_bar <= 700"
         )
-    data_modes = 4 * n  # finer truncation for the data than for the operator
-    max_freq = data_modes + n
-    nodes = _nodes_for_frequency(max_freq, math.pi)
-    xs, ws = _piecewise_gauss([-math.pi, 0.0, math.pi], nodes)
-
-    all_modes = np.arange(1, data_modes + 1)
-    all_cos_tags = [("cos", j) for j in range(1, data_modes + 1)]
-    truth_cos_all = _tent_coefficients(all_modes)
-
-    # synthesize the final heat distribution from the exact Fourier multiplier
-    mult = np.exp(-all_modes**2 * t_bar)
-    g_vals = (mult * truth_cos_all) @ _basis_values(all_cos_tags, xs)
-
-    tags = [("const", 0)]
-    lam = [1.0]
-    truth = [0.0]
-    for k in range(1, n + 1):
-        tags.extend([("cos", k), ("sin", k)])
-        lam.extend([math.exp(-2.0 * k**2 * t_bar)] * 2)
-        truth.extend([truth_cos_all[k - 1], 0.0])
-    data_cos = _project([("cos", k) for k in range(1, n + 1)], g_vals, xs, ws)
-    data = [0.0]
-    for k in range(1, n + 1):
-        data.extend([data_cos[k - 1], 0.0])
-    return np.asarray(lam), np.asarray(truth), np.asarray(data), tags
+    lam = np.ones(2 * n + 1)
+    # math.exp, not np.exp, whose last bits differ and would move every result
+    lam[1::2] = lam[2::2] = [math.exp(-2.0 * k**2 * t_bar) for k in range(1, n + 1)]
+    kinds = np.array(["const"] + ["cos", "sin"] * n)
+    return lam, (kinds, (np.arange(2 * n + 1) + 1) // 2)
 
 
 def heat_problem(n: int = 48, t_bar: float = 0.1) -> SpectralProblem:
     """Severely ill-posed backward heat benchmark with lam_k = exp(-2 k^2 t_bar);
     the invariant mode 0 (lam = 1, zero-mean truth) is retained."""
-    lam, truth, data, _ = _build_heat(n, t_bar)
+    lam, _ = _heat_modes(n, t_bar)
+    data_modes = 4 * n  # finer truncation for the data than for the operator
+    nodes = _nodes_for_frequency(data_modes + n, math.pi)
+    xs, ws = _piecewise_gauss([-math.pi, 0.0, math.pi], nodes)
+
+    # synthesize the final heat distribution from the exact Fourier multiplier
+    all_modes = np.arange(1, data_modes + 1)
+    truth_cos_all = _tent_coefficients(all_modes)
+    mult = np.exp(-all_modes**2 * t_bar)
+    g_vals = (mult * truth_cos_all) @ _basis_values(_cos_tags(all_modes), xs)
+
+    truth, data = np.zeros((2, lam.size))
+    truth[1::2] = truth_cos_all[:n]
+    data[1::2] = _project(_cos_tags(all_modes[:n]), g_vals, xs, ws)
     return SpectralProblem(lam, truth, data, label="heat")
 
 
@@ -223,21 +222,32 @@ def heat_problem(n: int = 48, t_bar: float = 0.1) -> SpectralProblem:
 # dispatch and synthesis
 # --------------------------------------------------------------------------
 
-_BUILDERS = {
-    "antiderivative": (_build_antiderivative, {"n": 2000}),
-    "gradiometry": (_build_gradiometry, {"n": 129, "R": 2.0}),
-    "heat": (_build_heat, {"n": 48, "t_bar": 0.1}),
+_PROBLEMS = {
+    "antiderivative": (antiderivative_problem, _antiderivative_modes),
+    "gradiometry": (gradiometry_problem, _gradiometry_modes),
+    "heat": (heat_problem, _heat_modes),
 }
+PROBLEM_NAMES = tuple(_PROBLEMS)
+
+
+def _lookup(name: str, params: dict) -> tuple:
+    """The builder and spectrum helper of a problem, and the keyword
+    overrides bound to the builder's signature, defaults filled in."""
+    if name not in _PROBLEMS:
+        raise InvalidParameterError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    builder, modes = _PROBLEMS[name]
+    try:
+        bound = inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidParameterError(f"{name} problem: {exc}") from None
+    bound.apply_defaults()
+    return builder, modes, bound.arguments
 
 
 def get_problem(name: str, **params) -> SpectralProblem:
     """Build a benchmark problem by name, with keyword overrides (n, R, t_bar)."""
-    if name not in _BUILDERS:
-        raise InvalidParameterError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-    builder, defaults = _BUILDERS[name]
-    kwargs = {**defaults, **params}
-    lam, truth, data, _ = builder(**kwargs)
-    return SpectralProblem(lam, truth, data, label=name)
+    builder, _, kwargs = _lookup(name, params)
+    return builder(**kwargs)
 
 
 def synthesize(name: str, coefficients, xs, **params) -> np.ndarray:
@@ -245,12 +255,9 @@ def synthesize(name: str, coefficients, xs, **params) -> np.ndarray:
 
     The coordinate order matches the problem built with the same parameters.
     """
-    if name not in _BUILDERS:
-        raise InvalidParameterError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-    builder, defaults = _BUILDERS[name]
-    kwargs = {**defaults, **params}
-    _, _, _, tags = builder(**kwargs)
+    _, modes, kwargs = _lookup(name, params)
+    lam, tags = modes(**kwargs)
     coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.size != len(tags):
+    if coeffs.size != lam.size:
         raise InvalidParameterError("coefficient length does not match the problem dimension")
     return coeffs @ _basis_values(tags, np.asarray(xs, dtype=float))

@@ -1,9 +1,11 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from solit import ExperimentConfig
+from solit import ExperimentConfig, testproblems
 from solit.cli import _merge_simulate_options, _simulate_config, build_parser, main
 
 
@@ -121,6 +123,25 @@ class TestReconstructCommand:
         assert code == 0
         assert out.startswith("# alpha=")
 
+    def test_builds_the_problem_once(self, capsys, monkeypatch):
+        builder, modes = testproblems._PROBLEMS["heat"]
+        calls = []
+
+        @functools.wraps(builder)
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setitem(testproblems._PROBLEMS, "heat", (counting, modes))
+        code, out = run_cli(
+            capsys, "reconstruct", "--problem", "heat", "--n", "12",
+            "--filter", "tikhonov", "--sigma", "1e-2", "--points", "5",
+        )
+        assert code == 0
+        assert calls == [{"n": 12, "t_bar": 0.1}]
+        xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[2:]]
+        assert xs[0] == pytest.approx(-math.pi) and xs[-1] == pytest.approx(math.pi)
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -129,13 +150,23 @@ class TestErrors:
             ("candidates", "--problem", "nope", "--sigma", "1e-3"),  # InvalidParameterError
             ("candidates", "--problem", "heat", "--n", "24", "--filter", "landweber",
              "--sigma", "1e-8"),  # ConfigurationError: V cannot reach 1/sigma^2
+            ("candidates", "--problem", "heat", "--R", "2", "--sigma", "1e-3"),
+            ("candidates", "--problem", "antiderivative", "--t-bar", "0.1", "--sigma", "1e-3"),
+            ("simulate", "--seed", "-1"),
+            ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
+            ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
+            ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--points", "-1"),
+            ("simulate", "--config", "{tmp}/missing.json"),  # OSError
+            ("rates", "--in", "{tmp}/missing", "--model", "poly"),  # OSError
+            ("simulate", "--config", "{tmp}/invalid.json"),  # JSON decode error
         ],
     )
-    def test_one_line_and_exit_code_2(self, argv, capsys):
-        assert main(list(argv)) == 2
+    def test_one_line_and_exit_code_2(self, argv, capsys, tmp_path):
+        (tmp_path / "invalid.json").write_text("{not json")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("solit candidates: error: ")
+        assert captured.err.startswith(f"solit {argv[0]}: error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
 

@@ -135,25 +135,6 @@ class TestLtzTailSf:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
-    def test_skew_dominant_branch(self):
-        # cumulants with s1^2 just above s2 exercise the non-central branch;
-        # the matched parameters follow the printed recipe
-        c1, c2, c3, c4 = 2.0, 1.0, 1.03, 1.0
-        s1, s2 = c3 / c2**1.5, c4 / c2**2
-        assert s1**2 > s2
-        r = math.sqrt(s1**2 - s2)
-        a = 1.0 / (s1 - r)
-        delta = s1 * a**3 - a**2
-        l = a * a - 2 * delta
-        for t in (1.0, 3.0, 6.0):
-            expected = stats.ncx2.sf(a * (t - c1) / math.sqrt(c2) + l + delta, l, delta)
-            assert ltz_tail_sf((c1, c2, c3, c4), t) == pytest.approx(expected, rel=1e-9)
-
-    def test_vanishing_skewness_gaussian_fallback(self):
-        # c3 = 0 cannot arise from nonnegative weights; the fallback is the
-        # moment-matched Gaussian tail
-        assert ltz_tail_sf((1.0, 1.0, 0.0, 0.0), 1.0) == pytest.approx(0.5, abs=1e-12)
-
     def test_invalid_second_cumulant(self):
         with pytest.raises(InvalidParameterError):
             ltz_tail_sf((1.0, 0.0, 0.0, 0.0), 1.0)
@@ -197,8 +178,11 @@ class TestLtzTailQuantile:
 
     @pytest.mark.parametrize("cumulants", [(1.0, 1.0, 0.0, 0.0), (1.0, 1.0, -0.5, 1.0)])
     def test_nonpositive_third_cumulant_rejected(self, cumulants):
+        # c3 <= 0 cannot arise from nonnegative weights: no skewness to match
         with pytest.raises(InvalidParameterError):
             ltz_tail_quantile(cumulants, 0.1)
+        with pytest.raises(InvalidParameterError):
+            ltz_tail_sf(cumulants, 1.0)
 
     @staticmethod
     def bisection_reference(cumulants, p):
@@ -229,6 +213,20 @@ class TestLtzTailQuantile:
         for w in weights:
             c = cumulant_traces(w)
             assert ltz_tail_quantile(c, p) == pytest.approx(self.bisection_reference(c, p), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(float, st.integers(0, 40), elements=st.floats(0.0, 1.0)),
+        st.lists(st.integers(1, 1600), min_size=2, max_size=8, unique=True),
+    )
+    def test_sf_inverts_quantile(self, w, log_p_tenths):
+        # weights on the normalized scale (largest 1); p from e^-0.1 down to e^-160
+        c = cumulant_traces(np.append(w, 1.0))
+        ps = np.exp(-np.sort(log_p_tenths) / 10.0)  # decreasing
+        ts = ltz_tail_quantile(c, ps)
+        for p, t in zip(ps, ts):
+            assert ltz_tail_sf(c, t) == pytest.approx(p, rel=1e-6)
+        assert np.all(np.diff(ts) > 0.0)  # strictly decreasing in p
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -69,6 +69,31 @@ class TestFitRate:
             fit_rate([0.1, 0.01, 0.001], [1.0, 2.0, 3.0], "cubic")
 
 
+class TestNonFiniteTuningRejected:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("theta", math.nan), ("theta", math.inf), ("beta", math.nan), ("beta", math.inf),
+         ("gamma", math.nan), ("gamma", math.inf), ("kappa_tune", math.nan),
+         ("kappa_tune", math.inf), ("sigma_start", math.inf), ("sigma_stop", math.nan),
+         ("seed", -1)],
+    )
+    def test_config_and_the_function_that_uses_the_value(self, name, value, small_heat):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(problem="heat", filter_kind="tikhonov", **{name: value})
+        spec = FilterSpec("tikhonov")
+        grid = build_grid(small_heat, spec, 1e-3)
+        uses = {
+            "theta": lambda: build_grid(small_heat, spec, 1e-3, theta=value),
+            "beta": lambda: build_thresholds(small_heat, spec, grid, beta=value),
+            "gamma": lambda: build_thresholds(small_heat, spec, grid, gamma=value),
+            "kappa_tune": lambda: lepskii_select(np.zeros((grid.m_max + 1,) * 2), grid, kappa_tune=value),
+            "seed": lambda: simulate_data(small_heat, 1e-3, value),
+        }
+        if name in uses:
+            with pytest.raises(InvalidParameterError):
+                uses[name]()
+
+
 class TestRunExperiment:
     def test_determinism(self):
         a = run_experiment(ExperimentConfig(**SMALL))

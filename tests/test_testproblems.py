@@ -11,7 +11,15 @@ from solit import (
     heat_problem,
     synthesize,
 )
-from solit.testproblems import _build_gradiometry
+from solit import testproblems
+from solit.testproblems import _gradiometry_modes
+
+
+def gradiometry_coordinates(n, R):
+    """Truth, data and basis tags (kind, k) of the gradiometry coordinates."""
+    p = gradiometry_problem(n, R=R)
+    _, (kinds, modes) = _gradiometry_modes(n, R)
+    return p.truth, p.data_truth, list(zip(kinds.tolist(), modes.tolist()))
 
 
 def anti_crime_gap(problem):
@@ -92,26 +100,26 @@ class TestGradiometry:
     def test_printed_series_coefficient(self):
         # function-series cosine coefficient for k=1 at R=2 is
         # (4/pi) * 2 * 2^-3 = 1/pi; the stored coordinate is sqrt(pi) times it
-        _, truth, data, tags = _build_gradiometry(8, 2.0)
+        truth, data, tags = gradiometry_coordinates(8, 2.0)
         i = tags.index(("cos", 1))
         assert data[i] / math.sqrt(math.pi) == pytest.approx(1.0 / math.pi, rel=1e-10)
 
     def test_forward_symbol_reproduces_data(self):
-        _, truth, data, tags = _build_gradiometry(16, 2.0)
+        truth, data, tags = gradiometry_coordinates(16, 2.0)
         for k in range(1, 10, 2):
             i = tags.index(("cos", k))
             symbol = k * (k + 1) * 2.0 ** (-k - 2)
             assert data[i] == pytest.approx(symbol * truth[i], rel=1e-9)
 
     def test_data_series_reaches_modes_above_257(self):
-        _, truth, data, tags = _build_gradiometry(300, 1.01)
+        truth, data, tags = gradiometry_coordinates(300, 1.01)
         for k in (259, 299):
             i = tags.index(("cos", k))
             symbol = k * (k + 1) * 1.01 ** (-k - 2)
             assert data[i] == pytest.approx(symbol * truth[i], rel=1e-9)
 
     def test_sine_coordinates_zero(self):
-        _, truth, data, tags = _build_gradiometry(8, 2.0)
+        truth, data, tags = gradiometry_coordinates(8, 2.0)
         for i, (kind, _) in enumerate(tags):
             if kind == "sin":
                 assert truth[i] == 0.0 and data[i] == 0.0
@@ -213,3 +221,24 @@ class TestDispatchAndSynthesis:
     def test_synthesis_length_check(self):
         with pytest.raises(InvalidParameterError):
             synthesize("heat", [1.0, 2.0], [0.0], n=8)
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unexpected keyword argument 'R'"):
+            get_problem("heat", R=2.0)
+        with pytest.raises(InvalidParameterError):
+            synthesize("antiderivative", np.zeros(8), [0.5], n=8, t_bar=0.1)
+
+    @pytest.mark.parametrize("name", ["gradiometry", "heat"])
+    def test_synthesis_runs_no_quadrature(self, name, monkeypatch):
+        xs = np.linspace(-2.5, 2.5, 9)
+        p = get_problem(name, n=12)
+        expected = synthesize(name, p.truth, xs, n=12)
+
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(testproblems, "_project", no_quadrature)
+        monkeypatch.setattr(testproblems, "_piecewise_gauss", no_quadrature)
+        np.testing.assert_array_equal(synthesize(name, p.truth, xs, n=12), expected)
+        with pytest.raises(AssertionError, match="quadrature"):
+            get_problem(name, n=12)
