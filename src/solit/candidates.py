@@ -221,8 +221,8 @@ def build_grid(
     call would build.
     """
     sigmas = np.asarray(sigma, dtype=float)
-    if sigmas.size == 0 or not np.all(sigmas > 0):
-        raise InvalidParameterError("noise level must be positive")
+    if sigmas.size == 0 or not np.all((sigmas > 0) & (sigmas < math.inf)):
+        raise InvalidParameterError("noise level must be positive and finite")
     if not 1 < theta < math.inf:
         raise InvalidParameterError("theta must be finite and exceed 1")
     if v_start <= 0:

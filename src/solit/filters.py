@@ -52,9 +52,9 @@ class FilterSpec:
         if self.cq_prime <= 0:
             raise InvalidParameterError("cq_prime must be positive")
         if self.kind == "landweber":
-            if self.landweber_step is None or self.landweber_step <= 0:
+            if self.landweber_step is None or not 0 < self.landweber_step < math.inf:
                 raise InvalidParameterError(
-                    "landweber requires a positive relaxation step"
+                    "landweber requires a positive finite relaxation step"
                 )
 
     @property

@@ -7,15 +7,20 @@ candidate pairs for the thresholds, the noise-free biases and the variances.
 Every noise level takes a prefix of that grid and of those tables, with the
 thresholds scaled by sigma and the variances by sigma^2; from them come the
 oracle index and the oracle-inequality constants.  The runner then replays
-seeded realizations in blocks of runs.  Each realization is drawn by its own
-``simulate_data`` call with its own seed, so the data are bit-identical
-however the runs are blocked.  Per block the runner evaluates every
-candidate's squared error exactly, forms the empirical pairwise distances in
-weight space (squared weight differences against squared data, one matrix
-product per candidate row), and applies every requested selector to the
-whole block.  Blocks are sized by a fixed element budget, so memory does not
-grow with the number of runs.  Everything is reproducible from the master
-seed.
+seeded realizations in blocks of runs.  Run r at noise level si draws the
+stream of ``np.random.Philox(seed)`` with seed
+``SeedSequence((master, si, r)).generate_state(1, uint64)``; Philox is keyed
+and counter-based, so the keys of every run of the sweep are computed in one
+vectorized pass (``sequence_model.seed_state``) and each block fills its
+noise rows from one rekeyed generator.  The data are bit-identical to
+per-run ``simulate_data`` draws, however the runs are blocked.  Per block the
+runner evaluates every candidate's squared error from y = g + sigma * eps
+through two matrix products against tables built once per sweep
+(``_block_errors``), forms the empirical pairwise distances in weight space
+(squared weight differences against squared data, one matrix product per
+candidate row), and applies every requested selector to the whole block.
+Blocks are sized by a fixed element budget, so memory does not grow with the
+number of runs.  Everything is reproducible from the master seed.
 """
 
 from __future__ import annotations
@@ -45,14 +50,16 @@ from .selectors import (
     price_of_adaptation,
     solit_select,
 )
-from .sequence_model import estimator_weights, simulate_data
+from .sequence_model import estimator_weights, seed_state, seed_words, standard_normals
+from .sequence_model import simulate_data  # noqa: F401 - perfbench's sequence_model.simulate_data probe
 from .testproblems import get_problem
 
 SELECTOR_NAMES = ("solit", "lepskii", "oracle", "optimal", "noise-level")
 
-# Runs are processed in blocks sized so that each per-block temporary, such as
-# the (block, k, n) estimator errors, holds at most about this many float64
-# values (8 MiB), whatever the number of runs.
+# Runs are processed in blocks of _BLOCK_ELEMENTS // (k * n) runs, so a
+# block's temporaries do not grow with the number of runs: the (block, n)
+# noise and data hold at most this many float64 values (8 MiB), and so do the
+# (block, k, k) distances when k <= n.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -123,9 +130,15 @@ class ExperimentResult:
     cells: list[SigmaCell]
 
 
-def _run_seed(master: int, sigma_index: int, run_index: int) -> int:
-    ss = np.random.SeedSequence((master, sigma_index, run_index))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _run_keys(master: int, sigma_count: int, runs: int) -> np.ndarray:
+    """Philox keys of every realization of a sweep, shape (sigma_count, runs,
+    2).  Run r at noise level si draws the stream of ``np.random.Philox(seed)``
+    with seed = ``SeedSequence((master, si, r)).generate_state(1, uint64)``."""
+    si, r = np.divmod(np.arange(sigma_count * runs), runs)
+    entropy = np.column_stack([np.tile(seed_words(master), (si.size, 1)), si, r])
+    # the uint64 seed as its two uint32 words, low first, is the key's entropy
+    seeds = seed_state(entropy, 2)
+    return seed_state(seeds, 2, np.uint64).reshape(sigma_count, runs, 2)
 
 
 def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
@@ -161,6 +174,20 @@ def _block_distances(y_sq: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
     return bhat
 
 
+def _block_errors(eps: np.ndarray, sigma: float, b_sq: np.ndarray, wb_rows: np.ndarray,
+                  w_sq: np.ndarray) -> np.ndarray:
+    """Squared errors ||W[m] * y_b - f||^2 of a block of realizations
+    y_b = g + sigma * eps_b, shape (block, k).
+
+    With B = W * g - f the error is ||B_m||^2 + 2 sigma eps_b . (W_m B_m) +
+    sigma^2 eps_b^2 . W_m^2: two GEMMs against the tables ``b_sq`` (the
+    ||B_m||^2), ``wb_rows`` (W * B) and ``w_sq`` (W^2), with no (block, k, n)
+    tensor.  Each term is of the order of the error itself, so this is not a
+    Gram-type cancellation.
+    """
+    return b_sq + 2.0 * sigma * (eps @ wb_rows.T) + sigma**2 * (eps**2 @ w_sq.T)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full Monte Carlo sweep described by ``config``."""
     problem = get_problem(config.problem, **config.problem_params)
@@ -171,6 +198,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # sigmas decrease, so the last grid is the deepest and every other a prefix of it
     tables = build_thresholds(problem, spec, grids[-1], config.beta, config.gamma)
     w_all = estimator_weights(problem, spec, grids[-1].alphas)
+    # the tables of the squared errors (_block_errors) on the deepest grid, in
+    # one allocation: as separate arrays they stayed on the malloc heap after
+    # the sweep and raised the peak RSS of a later sweep by about 1 MiB
+    wb_rows, w_sq = np.empty((2, *w_all.shape))
+    np.multiply(w_all, problem.data_truth, out=wb_rows)
+    wb_rows -= problem.truth  # B = W g - f
+    b_sq = np.einsum("ij,ij->i", wb_rows, wb_rows)
+    wb_rows *= w_all
+    np.multiply(w_all, w_all, out=w_sq)
+    # noise-free runs all see the exact data: score it once, copy to every run
+    scored = 1 if config.noise_free else config.runs
+    keys = None if config.noise_free else _run_keys(config.seed, sigmas.size, config.runs)
     cells: list[SigmaCell] = []
     for si, (sigma, grid) in enumerate(zip(sigmas.tolist(), grids)):
         thresholds = tables.restrict(grid)
@@ -184,8 +223,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "noise-level": noise_level_select(grid, sigma),
         }
 
-        # noise-free runs all see the exact data: score it once, copy to every run
-        scored = 1 if config.noise_free else config.runs
         err_sq = np.empty((scored, mm + 1))
         picks = {name: np.empty(scored, dtype=int) for name in config.selectors}
         block = max(1, _BLOCK_ELEMENTS // w_rows.size)
@@ -193,18 +230,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             stop = min(start + block, scored)
             runs = slice(start, stop)
             if config.noise_free:
-                y = problem.data_truth[None, :]
+                eps = np.zeros((1, problem.n))
             else:
-                y = np.stack(
-                    [
-                        simulate_data(problem, sigma, _run_seed(config.seed, si, r)).y
-                        for r in range(start, stop)
-                    ]
-                )
-            diff = w_rows * y[:, None, :]
-            diff -= problem.truth
-            err_sq[runs] = np.einsum("bij,bij->bi", diff, diff)
-            del diff  # freed before the distances allocate theirs
+                eps = standard_normals(keys[si, runs], problem.n)
+            y = problem.data_truth + sigma * eps
+            err_sq[runs] = _block_errors(eps, sigma, b_sq[: mm + 1], wb_rows[: mm + 1], w_sq[: mm + 1])
             bhat = _block_distances(y**2, w_rows)
             for name in config.selectors:
                 if name == "solit":
@@ -390,8 +420,12 @@ def write_results(result: ExperimentResult, path: str) -> None:
 def read_results(path: str) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a directory written by
     ``write_results``."""
-    with open(os.path.join(path, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta_path = os.path.join(path, "meta.json")
+    with open(meta_path) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"{meta_path} is not valid JSON: {exc}") from None
     cfg_dict = dict(meta["config"])
     cfg_dict["selectors"] = tuple(cfg_dict["selectors"])
     config = ExperimentConfig(**cfg_dict)

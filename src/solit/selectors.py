@@ -179,8 +179,8 @@ def optimal_select(errors) -> int | np.ndarray:
 
 def noise_level_select(grid: CandidateGrid, sigma: float) -> int:
     """Candidate whose alpha is closest to sigma on the log scale."""
-    if sigma <= 0:
-        raise InvalidParameterError("noise level must be positive")
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError("noise level must be positive and finite")
     return int(np.argmin(np.abs(np.log(grid.alphas) - math.log(sigma))))
 
 

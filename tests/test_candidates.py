@@ -212,6 +212,6 @@ class TestSweepGrids:
             build_grid(small_heat, spec, np.array([1e-2, 1e-8]), theta=2.0)
 
     def test_rejects_a_nonpositive_sigma_anywhere(self, small_heat):
-        for sigmas in ([1e-2, 0.0], [1e-2, -1e-3], [], [1e-2, math.nan]):
+        for sigmas in ([1e-2, 0.0], [1e-2, -1e-3], [], [1e-2, math.nan], [1e-2, math.inf], math.inf):
             with pytest.raises(InvalidParameterError):
                 build_grid(small_heat, TIKH, np.array(sigmas), theta=2.0)

@@ -159,10 +159,19 @@ class TestErrors:
             ("simulate", "--config", "{tmp}/missing.json"),  # OSError
             ("rates", "--in", "{tmp}/missing", "--model", "poly"),  # OSError
             ("simulate", "--config", "{tmp}/invalid.json"),  # JSON decode error
+            ("rates", "--in", "{tmp}/results", "--model", "poly"),  # meta.json not valid JSON
+            ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "nan", "--alpha", "1e-3"),
+            ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "inf"),
+            ("candidates", "--problem", "heat", "--n", "12", "--sigma", "inf"),
+            ("candidates", "--problem", "heat", "--n", "12", "--sigma", "nan"),
+            ("simulate", "--problem", "heat", "--n", "12", "--filter", "landweber",
+             "--landweber-step", "nan"),
         ],
     )
     def test_one_line_and_exit_code_2(self, argv, capsys, tmp_path):
         (tmp_path / "invalid.json").write_text("{not json")
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "meta.json").write_text("{x")
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -50,6 +50,13 @@ class TestFilterWeight:
             with pytest.raises(InvalidParameterError):
                 filter_weight(spec, -1.0, 0.5)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_landweber_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidParameterError, match="relaxation step"):
+            FilterSpec("landweber", landweber_step=step)
+        with pytest.raises(InvalidParameterError, match="relaxation step"):
+            FilterSpec.for_spectrum("landweber", [1.0, 0.5], landweber_step=step)
+
     def test_vectorized_matches_scalar(self):
         lam = np.array([0.0, 0.1, 0.5, 1.0])
         for spec in all_specs():

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solit
 from solit import (
@@ -26,8 +28,9 @@ from solit import (
 from solit import candidates, harness, selectors
 from solit.harness import (
     _block_distances,
+    _block_errors,
     _pairwise_distance_table,
-    _run_seed,
+    _run_keys,
 )
 from solit.selectors import (
     lepskii_select,
@@ -211,6 +214,12 @@ def full_tensor_distance_table(rows):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
+def run_seed(master, sigma_index, run_index):
+    """The seed of run ``run_index`` at noise level ``sigma_index``."""
+    ss = np.random.SeedSequence((master, sigma_index, run_index))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def per_run_reference(config):
     """The Monte Carlo loop one realization at a time: the full distance tensor
     and one call of each selector per run.  Returns, per noise level, the
@@ -233,7 +242,8 @@ def per_run_reference(config):
             if config.noise_free:
                 y = problem.data_truth
             else:
-                y = simulate_data(problem, sigma, _run_seed(config.seed, si, r)).y
+                eps = np.random.Generator(np.random.Philox(run_seed(config.seed, si, r))).standard_normal(problem.n)
+                y = problem.data_truth + sigma * eps
             f_rows = w_rows * y
             bhat = full_tensor_distance_table(f_rows)
             diff = f_rows - problem.truth
@@ -300,7 +310,10 @@ class TestBlockedRuns:
             np.testing.assert_allclose(table[upper], want[upper], rtol=1e-12, atol=0)
             assert np.all(table[~upper] == 0)
 
-    @pytest.mark.parametrize("seed,noise_free", [(5, False), (6, False), (7, False), (5, True)])
+    @pytest.mark.parametrize(
+        "seed,noise_free",
+        [(5, False), (6, False), (7, False), (2**40 + 5, False), (2**64 + 1, False), (5, True)],
+    )
     @pytest.mark.parametrize("problem,n", [("heat", 24), ("gradiometry", 40)])
     def test_matches_per_run_loop(self, problem, n, seed, noise_free, monkeypatch):
         cfg = ExperimentConfig(problem=problem, filter_kind="tikhonov", runs=23, sigma_count=3,
@@ -320,6 +333,47 @@ class TestBlockedRuns:
                     assert got.mse == pytest.approx(mses[name], rel=1e-12)
                     assert got.stderr == pytest.approx(stderrs[name], rel=1e-12, abs=1e-12 * mses[name])
 
+    @pytest.mark.parametrize("seed", [3, 2**32 + 7, 2**64 + 1])
+    def test_realizations_are_per_run_simulate_data_draws(self, seed, monkeypatch):
+        cfg = ExperimentConfig(problem="heat", filter_kind="tikhonov", runs=9, sigma_count=2,
+                               sigma_start=1e-2, sigma_stop=1e-4, seed=seed, problem_params={"n": 24})
+        problem = get_problem("heat", n=24)
+        seen = []
+
+        def spy(eps, sigma, *tables):
+            seen.append((sigma, eps.copy()))
+            return _block_errors(eps, sigma, *tables)
+
+        monkeypatch.setattr(harness, "_block_errors", spy)
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
+        run_experiment(cfg)
+        by_sigma = {}
+        for sigma, eps in seen:
+            by_sigma.setdefault(sigma, []).append(eps)
+        assert len(by_sigma) == 2
+        for si, sigma in enumerate(cfg.sigma_grid().tolist()):
+            ys = problem.data_truth + sigma * np.vstack(by_sigma[sigma])
+            assert len(ys) == cfg.runs
+            for r, y in enumerate(ys):
+                np.testing.assert_array_equal(y, simulate_data(problem, sigma, run_seed(seed, si, r)).y)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_block_errors_match_elementwise_formula(self, name, kind, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec(kind)
+        for sigma in (1e-2, 1e-4, 1e-6):
+            grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
+            w_rows = estimator_weights(problem, spec, grid.alphas)
+            eps = np.random.default_rng(17).standard_normal((30, problem.n))
+            b_rows = w_rows * problem.data_truth - problem.truth
+            got = _block_errors(eps, sigma, np.einsum("ij,ij->i", b_rows, b_rows),
+                                w_rows * b_rows, w_rows**2)
+            diff = w_rows * (problem.data_truth + sigma * eps)[:, None, :] - problem.truth
+            want = np.einsum("bij,bij->bi", diff, diff)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(optimal_select(got), optimal_select(want))
+
     def test_peak_memory_does_not_grow_with_runs(self, monkeypatch):
         # the problem is built outside the measurement, so the peak is the cell's own
         problem = get_problem("antiderivative", n=2000)
@@ -335,6 +389,32 @@ class TestBlockedRuns:
             finally:
                 tracemalloc.stop()
         assert peaks[400] <= 1.25 * peaks[40], peaks
+
+
+class TestRunKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        master=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
+        sigma_count=st.integers(1, 3),
+        runs=st.integers(1, 4),
+    )
+    def test_keys_of_numpy_seed_sequences(self, master, sigma_count, runs):
+        keys = _run_keys(master, sigma_count, runs)
+        assert keys.shape == (sigma_count, runs, 2) and keys.dtype == np.uint64
+        for si in range(sigma_count):
+            for r in range(runs):
+                seed = run_seed(master, si, r)
+                want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+                np.testing.assert_array_equal(keys[si, r], want)
+
+    @pytest.mark.parametrize("master", [0, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1, 2**64 + 1,
+                                        2**70 + 3, 2**200 + 9])
+    def test_keys_are_those_of_philox_seeded_per_run(self, master):
+        keys = _run_keys(master, 2, 3)
+        for si in range(2):
+            for r in range(3):
+                want = np.random.Philox(run_seed(master, si, r)).state["state"]["key"]
+                np.testing.assert_array_equal(keys[si, r], want)
 
 
 class TestVerifyOracleInequality:

@@ -313,6 +313,12 @@ class TestSimpleSelectors:
         assert noise_level_select(grid, sigma=1e-9) == 2
         assert noise_level_select(grid, sigma=50.0) == 0
 
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_noise_level_rejects_nonpositive_or_nonfinite_sigma(self, sigma):
+        grid = toy_grid([0.25, 0.5, 1.0], alphas=[0.9, 0.1, 0.01])
+        with pytest.raises(InvalidParameterError):
+            noise_level_select(grid, sigma=sigma)
+
 
 class TestOracleConstants:
     def test_c1_at_origin(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solit import (
     FilterSpec,
@@ -12,7 +14,7 @@ from solit import (
     simulate_data,
 )
 from solit.filters import filter_weight
-from solit.sequence_model import estimator_weights
+from solit.sequence_model import estimator_weights, seed_state, seed_words, standard_normals
 from conftest import bias_norms, synthetic_problem
 
 
@@ -62,6 +64,70 @@ class TestSimulateData:
         p = synthetic_problem([1.0], [1.0])
         with pytest.raises(InvalidParameterError):
             simulate_data(p, 0.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        p = synthetic_problem([1.0], [1.0])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            simulate_data(p, sigma, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3])
+    def test_noise_is_the_stream_of_numpy_philox(self, seed):
+        p = synthetic_problem(np.linspace(1.0, 0.1, 37), np.ones(37))
+        eps = np.random.Generator(np.random.Philox(seed)).standard_normal(37)
+        np.testing.assert_array_equal(simulate_data(p, 0.3, seed).y, p.data_truth + 0.3 * eps)
+
+
+def _uint32_words(words):
+    return np.array([words], dtype=np.uint32)
+
+
+class TestSeedState:
+    """The vectorized SeedSequence against numpy's own, one row at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9),
+        n_words=st.integers(1, 9),
+        wide=st.booleans(),
+    )
+    def test_matches_seed_sequence(self, words, n_words, wide):
+        dtype = np.uint64 if wide else np.uint32
+        want = np.random.SeedSequence(words).generate_state(n_words, dtype)
+        got = seed_state(_uint32_words(words), n_words, dtype)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got[0], want)
+
+    def test_rows_are_independent(self):
+        rows = np.array([[1, 2, 3], [4, 5, 6], [0, 0, 0]], dtype=np.uint32)
+        got = seed_state(rows, 3)
+        for row, out in zip(rows, got):
+            np.testing.assert_array_equal(out, np.random.SeedSequence(row).generate_state(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**200))
+    def test_seed_words_split_like_numpy(self, seed):
+        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(seed_state(seed_words(seed)[None, :], 2, np.uint64)[0], want)
+        assert seed_words(seed).size == max(1, -(-seed.bit_length() // 32))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_two_word_seed_is_the_philox_key(self, seed):
+        # a seed below 2^32 is one word to numpy; its zero high word pads the pool
+        words = _uint32_words([seed & 0xFFFFFFFF, seed >> 32])
+        key = seed_state(words, 2, np.uint64)[0]
+        np.testing.assert_array_equal(key, np.random.Philox(seed).state["state"]["key"])
+        np.testing.assert_array_equal(key, np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
+class TestStandardNormals:
+    def test_rows_are_fresh_philox_streams(self):
+        seeds = [0, 5, 2**32, 2**64 - 1]
+        keys = np.vstack([seed_state(seed_words(s)[None, :], 2, np.uint64) for s in seeds])
+        got = standard_normals(keys, 301)
+        for seed, row in zip(seeds, got):
+            want = np.random.Generator(np.random.Philox(seed)).standard_normal(301)
+            np.testing.assert_array_equal(row, want)
 
 
 class TestEstimate:
