@@ -16,11 +16,14 @@ noise rows from one rekeyed generator.  The data are bit-identical to
 per-run ``simulate_data`` draws, however the runs are blocked.  Per block the
 runner evaluates every candidate's squared error from y = g + sigma * eps
 through two matrix products against tables built once per sweep
-(``_block_errors``), forms the empirical pairwise distances in weight space
-(squared weight differences against squared data, one matrix product per
-candidate row), and applies every requested selector to the whole block.
-Blocks are sized by a fixed element budget, so memory does not grow with the
-number of runs.  Everything is reproducible from the master seed.
+(``_block_errors``).  The solit and Lepskii picks then come from one
+streaming pass (``selectors.stream_select``): it walks the candidate rows m1
+upward, forms one row of empirical distances for the whole block (squared
+weight differences against squared data, one matrix product), gives each run
+its pick at the first row within the limits, and stops once every run has
+both picks, so no (runs, k, k) distance table is held.  Blocks hold
+``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the number of
+runs.  Everything is reproducible from the master seed.
 """
 
 from __future__ import annotations
@@ -42,25 +45,26 @@ from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
 from .selectors import (
     build_thresholds,
-    lepskii_select,
+    lepskii_limits,
     noise_level_select,
     optimal_select,
     oracle_constants,
     oracle_select,
     price_of_adaptation,
-    solit_select,
+    stream_select,
 )
+from .selectors import lepskii_select, solit_select  # noqa: F401 - perfbench's selectors probes
 from .sequence_model import estimator_weights, seed_state, seed_words, standard_normals
 from .sequence_model import simulate_data  # noqa: F401 - perfbench's sequence_model.simulate_data probe
 from .testproblems import get_problem
 
 SELECTOR_NAMES = ("solit", "lepskii", "oracle", "optimal", "noise-level")
 
-# Runs are processed in blocks of _BLOCK_ELEMENTS // (k * n) runs, so a
-# block's temporaries do not grow with the number of runs: the (block, n)
-# noise and data hold at most this many float64 values (8 MiB), and so do the
-# (block, k, k) distances when k <= n.
-_BLOCK_ELEMENTS = 1 << 20
+# Runs are processed in blocks of _BLOCK_ELEMENTS // n runs, so a block's
+# temporaries do not grow with the number of runs: the (block, n) noise,
+# squared noise and squared data hold at most this many float64 values
+# (512 KiB) each.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -158,22 +162,6 @@ def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
     return table + table.T
 
 
-def _block_distances(y_sq: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
-    """Empirical distance tables of a block of realizations, upper triangle
-    only (zero elsewhere): bhat[b, m1, m2] = ||(W[m1] - W[m2]) * y_b||.
-
-    The squared distances are sum_j (W[m1,j] - W[m2,j])^2 y_bj^2, one GEMM
-    per row m1.  The weight differences are formed before squaring, so there
-    is no Gram-type cancellation.
-    """
-    k = w_rows.shape[0]
-    bhat = np.zeros((y_sq.shape[0], k, k))
-    for m1 in range(k - 1):
-        d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
-        bhat[:, m1, m1 + 1 :] = np.sqrt(y_sq @ d2.T)
-    return bhat
-
-
 def _block_errors(eps: np.ndarray, sigma: float, b_sq: np.ndarray, wb_rows: np.ndarray,
                   w_sq: np.ndarray) -> np.ndarray:
     """Squared errors ||W[m] * y_b - f||^2 of a block of realizations
@@ -223,9 +211,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "noise-level": noise_level_select(grid, sigma),
         }
 
+        limits = {}
+        if "solit" in config.selectors:
+            limits["solit"] = thresholds.kappa
+        if "lepskii" in config.selectors:
+            limits["lepskii"] = lepskii_limits(grid, sigma, config.kappa_tune)
+
         err_sq = np.empty((scored, mm + 1))
         picks = {name: np.empty(scored, dtype=int) for name in config.selectors}
-        block = max(1, _BLOCK_ELEMENTS // w_rows.size)
+        block = max(1, _BLOCK_ELEMENTS // problem.n)
         for start in range(0, scored, block):
             stop = min(start + block, scored)
             runs = slice(start, stop)
@@ -233,17 +227,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 eps = np.zeros((1, problem.n))
             else:
                 eps = standard_normals(keys[si, runs], problem.n)
-            y = problem.data_truth + sigma * eps
             err_sq[runs] = _block_errors(eps, sigma, b_sq[: mm + 1], wb_rows[: mm + 1], w_sq[: mm + 1])
-            bhat = _block_distances(y**2, w_rows)
+            # y^2 = (g + sigma * eps)^2 in place, bit for bit
+            eps *= sigma
+            eps += problem.data_truth
+            eps *= eps
+            for name, idx in stream_select(eps, w_rows, limits).items():
+                picks[name][runs] = idx
             for name in config.selectors:
-                if name == "solit":
-                    picks[name][runs] = solit_select(bhat, thresholds)
-                elif name == "lepskii":
-                    picks[name][runs] = lepskii_select(bhat, grid, sigma, config.kappa_tune)
-                elif name == "optimal":
+                if name == "optimal":
                     picks[name][runs] = optimal_select(err_sq[runs])
-                else:
+                elif name in fixed_choices:
                     picks[name][runs] = fixed_choices[name]
         err_sq = np.broadcast_to(err_sq, (config.runs, mm + 1))
         picks = {name: np.broadcast_to(idx, config.runs) for name, idx in picks.items()}
@@ -349,6 +343,7 @@ def verify_oracle_inequality(result: ExperimentResult) -> OracleInequalityReport
 # serialization
 # --------------------------------------------------------------------------
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RESULTS_HEADER = ["sigma", "selector", "mse", "stderr", "m_star", "R_mstar", "C1", "C2", "poa"]
 
 
@@ -358,8 +353,9 @@ def _fmt(x: float) -> str:
 
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write results.csv, one grid_XYZ.csv per noise level, selections.csv
-    with the selected-index histograms, and meta.json echoing the config and
-    the package and library versions (``read_results`` ignores those)."""
+    with the selected-index histograms, and meta.json echoing the config, the
+    package and library versions, the BLAS thread variables and the Monte
+    Carlo block budget (``read_results`` ignores the last three)."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -412,6 +408,9 @@ def write_results(result: ExperimentResult, path: str) -> None:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        # numpy reads these once, when it loads; null when unset
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "block_elements": _BLOCK_ELEMENTS,
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, allow_nan=True)
@@ -426,9 +425,17 @@ def read_results(path: str) -> ExperimentResult:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"{meta_path} is not valid JSON: {exc}") from None
+    if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)
+            and isinstance(meta.get("grids"), list)):
+        raise InvalidParameterError(
+            f"{meta_path} is not a results record: it needs a 'config' object and a 'grids' list"
+        )
     cfg_dict = dict(meta["config"])
-    cfg_dict["selectors"] = tuple(cfg_dict["selectors"])
-    config = ExperimentConfig(**cfg_dict)
+    try:
+        cfg_dict["selectors"] = tuple(cfg_dict["selectors"])
+        config = ExperimentConfig(**cfg_dict)
+    except (KeyError, TypeError) as exc:
+        raise InvalidParameterError(f"{meta_path} holds no valid config: {exc!r}") from None
 
     grids = []
     for i, ginfo in enumerate(meta["grids"]):

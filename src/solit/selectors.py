@@ -5,7 +5,9 @@ The a-posteriori rule compares empirical estimator distances against
 pairwise thresholds kappa_{m1,m2} = sigma * z_{m1,m2}(x_{m1}) + beta *
 sqrt(v_{m1,m2}); the classical balancing rule uses 4 * kappa * sqrt(v_{m2})
 instead; the oracle rule is the deterministic analogue built from true
-biases.
+biases.  ``solit_select`` and ``lepskii_select`` read whole distance tables;
+``stream_select`` gives the same picks for a block of realizations from one
+row of distances at a time.
 """
 
 from __future__ import annotations
@@ -159,12 +161,54 @@ def lepskii_select(
     bhat_{m1,m2} <= 4 * kappa_tune * mu_{m2} for all m2 > m1, where
     mu_k = sigma * sqrt(V(alpha_k)).  ``bhat`` may be a stack (..., k, k) of
     tables; the result then holds one index per table."""
+    return _first_accepted_row(bhat, lepskii_limits(grid, sigma, kappa_tune))
+
+
+def lepskii_limits(
+    grid: CandidateGrid, sigma: float | None = None, kappa_tune: float = 1.0
+) -> np.ndarray:
+    """The balancing rule's limits 4 * kappa_tune * mu_{m2}, one per candidate,
+    with mu_k = sigma * sqrt(V(alpha_k)) (sigma defaults to the grid's)."""
     if not 1 <= kappa_tune < math.inf:
         raise InvalidParameterError("kappa_tune must be finite and at least 1")
     mu = np.sqrt(grid.v)
     if sigma is not None and sigma != grid.sigma:
         mu = mu * (sigma / grid.sigma)
-    return _first_accepted_row(bhat, 4.0 * kappa_tune * mu)
+    return 4.0 * kappa_tune * mu
+
+
+def stream_select(
+    y_sq: np.ndarray, w_rows: np.ndarray, limits: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """The first accepted row of every realization of a block, for each rule
+    in ``limits``, without building the (runs, k, k) distance tables.
+
+    Row m1 of run b holds bhat[b, m1, m2] = ||(W[m1] - W[m2]) * y_b|| for
+    m2 > m1; with d2 = (W[m1+1:] - W[m1])**2 it is sqrt(y_sq @ d2.T), one
+    GEMM per row against the squared data ``y_sq`` (runs, n), with the
+    weight differences formed before squaring, so there is no Gram-type
+    cancellation.  ``limits`` maps a rule's name to limits that broadcast
+    against one (k, k) table, of which only m2 > m1 is read: ``kappa`` for
+    solit, the row ``lepskii_limits`` for Lepskii.  A run's pick is the
+    first m1 whose distances are all within the limits, m_max when none is,
+    exactly as ``_first_accepted_row`` finds it on the full tables.  The
+    walk stops as soon as every run has a pick under every rule.
+    """
+    k = w_rows.shape[0]
+    runs = y_sq.shape[0]
+    limits = {name: np.broadcast_to(table, (k, k)) for name, table in limits.items()}
+    picks = {name: np.full(runs, k - 1) for name in limits}
+    pending = {name: np.ones(runs, dtype=bool) for name in limits}
+    for m1 in range(k - 1):
+        if not any(p.any() for p in pending.values()):
+            break
+        d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
+        bhat = np.sqrt(y_sq @ d2.T)
+        for name, table in limits.items():
+            accepted = pending[name] & np.all(bhat <= table[m1, m1 + 1 :], axis=1)
+            picks[name][accepted] = m1
+            pending[name] &= ~accepted
+    return picks
 
 
 def optimal_select(errors) -> int | np.ndarray:

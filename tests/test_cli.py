@@ -160,6 +160,11 @@ class TestErrors:
             ("rates", "--in", "{tmp}/missing", "--model", "poly"),  # OSError
             ("simulate", "--config", "{tmp}/invalid.json"),  # JSON decode error
             ("rates", "--in", "{tmp}/results", "--model", "poly"),  # meta.json not valid JSON
+            ("rates", "--in", "{tmp}/empty", "--model", "poly"),  # meta.json {}
+            ("rates", "--in", "{tmp}/list", "--model", "poly"),  # meta.json [1]
+            ("rates", "--in", "{tmp}/no-grids", "--model", "poly"),  # meta.json without grids
+            ("rates", "--in", "{tmp}/no-selectors", "--model", "poly"),  # config without selectors
+            ("rates", "--in", "{tmp}/unknown-key", "--model", "poly"),  # config with an unknown key
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "nan", "--alpha", "1e-3"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "inf"),
             ("candidates", "--problem", "heat", "--n", "12", "--sigma", "inf"),
@@ -172,6 +177,17 @@ class TestErrors:
         (tmp_path / "invalid.json").write_text("{not json")
         (tmp_path / "results").mkdir()
         (tmp_path / "results" / "meta.json").write_text("{x")
+        config = {"problem": "heat", "filter_kind": "tikhonov", "selectors": []}
+        records = {
+            "empty": {},
+            "list": [1],
+            "no-grids": {"config": config},
+            "no-selectors": {"config": {"problem": "heat", "filter_kind": "tikhonov"}, "grids": []},
+            "unknown-key": {"config": {**config, "bogus": 1}, "grids": []},
+        }
+        for name, record in records.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "meta.json").write_text(json.dumps(record))
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import platform
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import solit
 from solit import (
+    CandidateGrid,
     ExperimentConfig,
     FilterSpec,
     InvalidParameterError,
@@ -27,17 +29,19 @@ from solit import (
 )
 from solit import candidates, harness, selectors
 from solit.harness import (
-    _block_distances,
     _block_errors,
     _pairwise_distance_table,
     _run_keys,
 )
 from solit.selectors import (
+    ThresholdTable,
+    lepskii_limits,
     lepskii_select,
     noise_level_select,
     optimal_select,
     oracle_select,
     solit_select,
+    stream_select,
 )
 from solit.filters import filter_weight
 from solit.sequence_model import estimator_weights
@@ -296,20 +300,6 @@ class TestPairwiseDistanceTable:
 
 
 class TestBlockedRuns:
-    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
-    def test_block_distances_match_difference_formula(self, name, small_benchmarks):
-        problem = small_benchmarks[name]
-        spec = FilterSpec("tikhonov")
-        grid = build_grid(problem, spec, sigma=1e-4, theta=2.0)
-        w_rows = estimator_weights(problem, spec, grid.alphas)
-        ys = np.stack([simulate_data(problem, 1e-4, seed).y for seed in range(4)])
-        bhat = _block_distances(ys**2, w_rows)
-        upper = np.triu(np.ones(bhat.shape[1:], dtype=bool), k=1)
-        for table, y in zip(bhat, ys):
-            want = full_tensor_distance_table(w_rows * y)
-            np.testing.assert_allclose(table[upper], want[upper], rtol=1e-12, atol=0)
-            assert np.all(table[~upper] == 0)
-
     @pytest.mark.parametrize(
         "seed,noise_free",
         [(5, False), (6, False), (7, False), (2**40 + 5, False), (2**64 + 1, False), (5, True)],
@@ -322,7 +312,7 @@ class TestBlockedRuns:
         reference = per_run_reference(cfg)
         # the default budget holds all runs in one block; a small one splits
         # them into several, the last one short
-        for block_elements in (harness._BLOCK_ELEMENTS, 2000):
+        for block_elements in (harness._BLOCK_ELEMENTS, 5 * n):
             monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_elements)
             res = run_experiment(cfg)
             for cell, (mses, stderrs, hists, r_mstar) in zip(res.cells, reference):
@@ -389,6 +379,149 @@ class TestBlockedRuns:
             finally:
                 tracemalloc.stop()
         assert peaks[400] <= 1.25 * peaks[40], peaks
+
+
+class RowCounter(np.ndarray):
+    """Squared data that count the distance rows formed against them (one
+    matrix product per row)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        RowCounter.products += 1
+        return np.asarray(self) @ other
+
+
+def stream_and_tables(w_rows, ys, limits):
+    """The streaming picks of a block of data ``ys``, the number of rows it
+    formed, and the block's full (runs, k, k) distance tables."""
+    RowCounter.products = 0
+    picks = stream_select((ys**2).view(RowCounter), w_rows, limits)
+    tables = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+    return picks, RowCounter.products, tables
+
+
+def hand_table(kappa):
+    return ThresholdTable(kappa=kappa, x=np.ones(kappa.shape[0] - 1), beta=1.0, gamma=1.0)
+
+
+class TestStreamSelect:
+    """The streaming pass gives the picks of the rules on the full tables."""
+
+    @pytest.mark.parametrize("k,n,runs", [(1, 5, 3), (2, 7, 4), (6, 30, 17), (12, 50, 40)])
+    def test_random_blocks(self, k, n, runs):
+        rng = np.random.default_rng(k * 100 + n)
+        w_rows = rng.uniform(0, 1, (k, n))
+        ys = rng.standard_normal((runs, n))
+        probe = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+        # limits at the distances' median put picks all over the grid
+        kappa = np.full((k, k), np.nan)
+        iu = np.triu_indices(k, 1)
+        kappa[iu] = np.median(probe[:, iu[0], iu[1]], axis=0) * rng.uniform(0.8, 1.6, iu[0].size)
+        grid = CandidateGrid(alphas=np.geomspace(1.0, 1e-3, k), v=np.geomspace(1.0, 4.0**k, k),
+                             theta1=1.5, theta2=5.0, sigma=0.5)
+        lepskii = lepskii_limits(grid, 0.05)
+        picks, _, tables = stream_and_tables(w_rows, ys, {"solit": kappa, "lepskii": lepskii})
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(kappa)))
+        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, 0.05))
+        if k > 2:
+            assert len(set(picks["solit"].tolist())) > 1
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_real_grid_blocks(self, name, kind, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec(kind)
+        for sigma in (1e-2, 1e-4, 1e-6):
+            grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
+            thresholds = build_thresholds(problem, spec, grid)
+            w_rows = estimator_weights(problem, spec, grid.alphas)
+            ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(12)])
+            limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, sigma, 1.5)}
+            picks, _, tables = stream_and_tables(w_rows, ys, limits)
+            np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds))
+            np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma, 1.5))
+
+    def test_every_run_accepting_at_row_0_stops_after_one_row(self):
+        rng = np.random.default_rng(1)
+        w_rows = rng.uniform(0, 1, (8, 20))
+        ys = rng.standard_normal((6, 20))
+        kappa = np.full((8, 8), np.inf)
+        picks, rows, tables = stream_and_tables(w_rows, ys, {"solit": kappa, "lepskii": np.full(8, np.inf)})
+        assert rows == 1
+        np.testing.assert_array_equal(picks["solit"], np.zeros(6))
+        np.testing.assert_array_equal(picks["lepskii"], np.zeros(6))
+        np.testing.assert_array_equal(solit_select(tables, hand_table(kappa)), np.zeros(6))
+
+    def test_zero_limits_give_m_max(self):
+        rng = np.random.default_rng(2)
+        w_rows = rng.uniform(0, 1, (7, 20))
+        ys = rng.standard_normal((5, 20))
+        kappa = np.zeros((7, 7))
+        picks, rows, tables = stream_and_tables(w_rows, ys, {"solit": kappa, "lepskii": np.zeros(7)})
+        assert rows == 6
+        np.testing.assert_array_equal(picks["solit"], np.full(5, 6))
+        np.testing.assert_array_equal(picks["lepskii"], np.full(5, 6))
+        np.testing.assert_array_equal(solit_select(tables, hand_table(kappa)), np.full(5, 6))
+
+    def test_a_single_run_needing_the_last_row(self):
+        rng = np.random.default_rng(3)
+        k = 7
+        w_rows = rng.uniform(0, 1, (k, 20))
+        ys = rng.uniform(1, 1.4, (6, 20)) * rng.choice([-1.0, 1.0], (6, 20))
+        ys[4] = 10.0 * ys[0]  # its distances are 10 times those of run 0
+        probe = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+        # every other run is within the limits at row 0; run 4 is outside them
+        # on every row but the last
+        kappa = np.max(np.delete(probe, 4, axis=0), axis=0)
+        kappa[k - 2, k - 1] = np.inf
+        picks, rows, tables = stream_and_tables(w_rows, ys, {"solit": kappa})
+        assert rows == k - 1
+        np.testing.assert_array_equal(picks["solit"], [0, 0, 0, 0, k - 2, 0])
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(kappa)))
+
+    def test_one_rule_alone(self, small_heat):
+        spec = FilterSpec("tikhonov")
+        grid = build_grid(small_heat, spec, sigma=1e-3, theta=2.0)
+        thresholds = build_thresholds(small_heat, spec, grid)
+        w_rows = estimator_weights(small_heat, spec, grid.alphas)
+        ys = np.stack([simulate_data(small_heat, 1e-3, seed).y for seed in range(9)])
+        both, _, tables = stream_and_tables(
+            w_rows, ys, {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid)})
+        solit_only, solit_rows, _ = stream_and_tables(w_rows, ys, {"solit": thresholds.kappa})
+        lepskii_only, lepskii_rows, _ = stream_and_tables(w_rows, ys, {"lepskii": lepskii_limits(grid)})
+        assert set(solit_only) == {"solit"} and set(lepskii_only) == {"lepskii"}
+        np.testing.assert_array_equal(solit_only["solit"], solit_select(tables, thresholds))
+        np.testing.assert_array_equal(lepskii_only["lepskii"], lepskii_select(tables, grid))
+        np.testing.assert_array_equal(solit_only["solit"], both["solit"])
+        np.testing.assert_array_equal(lepskii_only["lepskii"], both["lepskii"])
+        # each walk stops at its own rule's last pick
+        assert solit_rows == min(solit_only["solit"].max() + 1, grid.m_max)
+        assert lepskii_rows == min(lepskii_only["lepskii"].max() + 1, grid.m_max)
+
+    def test_no_rule_forms_no_row(self):
+        RowCounter.products = 0
+        assert stream_select(np.ones((3, 4)).view(RowCounter), np.eye(4), {}) == {}
+        assert RowCounter.products == 0
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
+    @pytest.mark.parametrize("problem,n", [("antiderivative", 200), ("gradiometry", 40), ("heat", 24)])
+    def test_picks_do_not_depend_on_the_block_size(self, problem, n, kind, monkeypatch):
+        cfg = ExperimentConfig(problem=problem, filter_kind=kind, runs=25, sigma_count=3,
+                               sigma_start=1e-2, sigma_stop=1e-6, seed=8, problem_params={"n": n})
+        results = []
+        # blocks of 2 runs (the last one short), then every run in one block
+        for block_elements in (2 * n, cfg.runs * n):
+            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_elements)
+            results.append(run_experiment(cfg))
+        small, whole = results
+        for a, b in zip(small.cells, whole.cells):
+            assert a.r_mstar == pytest.approx(b.r_mstar, rel=1e-14)
+            for name in cfg.selectors:
+                np.testing.assert_array_equal(a.selectors[name].histogram, b.selectors[name].histogram)
+                assert a.selectors[name].mse == pytest.approx(b.selectors[name].mse, rel=1e-14)
 
 
 class TestRunKeys:
@@ -475,6 +608,24 @@ class TestSerialization:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
+
+    def test_blas_and_block_settings_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        res = run_experiment(ExperimentConfig(**{**SMALL, "sigma_count": 2}))
+        write_results(res, str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": None,
+        }
+        assert meta["block_elements"] == harness._BLOCK_ELEMENTS
+        back = read_results(str(tmp_path))
+        assert back.config == res.config
+        for ca, cb in zip(res.cells, back.cells):
+            for name in res.config.selectors:
+                assert cb.selectors[name].mse == ca.selectors[name].mse
 
     def test_row_count(self, tmp_path):
         cfg = ExperimentConfig(**{**SMALL, "sigma_count": 2, "selectors": ("solit", "optimal")})
