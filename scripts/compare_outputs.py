@@ -1,6 +1,6 @@
 """Compare the Monte Carlo outputs of two solit source trees.
 
-    python scripts/compare_outputs.py OLD_SRC NEW_SRC [--mse-rtol 1e-14]
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``solit`` package (the
 ``src`` directory of a checkout).  Each tree runs the same fixed set of
@@ -8,7 +8,8 @@ sweeps through its own ``run_experiment``, in its own interpreter with one
 BLAS thread.  For every sweep the script prints a digest of its
 selected-index histograms under each tree, how many histograms differ and
 the largest relative MSE difference; then the totals.  It exits with status
-1 when a histogram differs or an MSE moves by more than ``--mse-rtol``.
+1 when a histogram differs or an MSE moves by more than ``MSE_RTOL``
+(1e-14 relative).
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -36,6 +37,7 @@ FILTERS = ("tikhonov", "showalter", "cutoff", "landweber")
 EXCLUDED = {("heat", "landweber")}  # raises ConfigurationError at the declared span
 LARGE_MASTERS = (2**32, 2**64 + 1, 2**70 + 3)
 RUNS = 200
+MSE_RTOL = 1e-14
 
 
 def cells() -> list[dict]:
@@ -127,7 +129,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
-    parser.add_argument("--mse-rtol", type=float, default=1e-14)
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
     total, differ, worst = compare(old, new)
     print(f"histograms differing: {differ} of {total}")
     print(f"worst relative MSE difference: {worst:.2e}")
-    return 1 if differ or worst > args.mse_rtol else 0
+    return 1 if differ or worst > MSE_RTOL else 0
 
 
 if __name__ == "__main__":
