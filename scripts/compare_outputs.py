@@ -7,9 +7,11 @@ OLD_SRC and NEW_SRC are directories holding the ``solit`` package (the
 sweeps through its own ``run_experiment``, in its own interpreter with one
 BLAS thread.  For every sweep the script prints a digest of its
 selected-index histograms under each tree, how many histograms differ and
-the largest relative MSE difference; then the totals.  It exits with status
-1 when a histogram differs or an MSE moves by more than ``MSE_RTOL``
-(1e-14 relative).
+the largest relative MSE difference; then the totals.  It also draws
+``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
+pairs and compares them bit for bit.  It exits with status 1 when a
+histogram differs, an MSE moves by more than ``MSE_RTOL`` (1e-14 relative)
+or a pair's draws differ.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -17,6 +19,14 @@ The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
     [1e-8, 1e-2]), master seeds 1, 2 and 3;
   - tikhonov on the 3 problems at master seeds 2^32, 2^64+1 and 2^70+3;
   - antiderivative at n=8000, tikhonov, sigma in [1e-9, 1e-2], seed 42.
+
+The draws: the pairs and draw count of the benchmark's quantile-mc workload
+(``perfbench/workloads.py``: 200 000 draws for each of the 40 adjacent
+tikhonov pairs on each problem's grid at the largest sigma of its span), at
+master seeds 42 and 7; pair i of master s is drawn with seed
+``SeedSequence((s, i)).generate_state(1, uint64)[0]``, as in that workload.
+Each tree reports the SHA-256 of every pair's float64 draws, so equal
+digests mean equal draws bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ EXCLUDED = {("heat", "landweber")}  # raises ConfigurationError at the declared 
 LARGE_MASTERS = (2**32, 2**64 + 1, 2**70 + 3)
 RUNS = 200
 MSE_RTOL = 1e-14
+DRAW_MASTERS = (42, 7)
 
 
 def cells() -> list[dict]:
@@ -65,19 +76,33 @@ def label(cell: dict) -> str:
 
 
 def dump() -> None:
-    """Run every sweep with the solit on the path; print the histograms and
-    MSEs as one JSON list, one entry per sweep."""
-    from solit import ExperimentConfig, run_experiment
+    """Run every sweep and draw every pair with the solit on the path; print
+    the histograms and MSEs, one entry per sweep, and the labelled draw
+    digests as one JSON object."""
+    import numpy as np
 
-    out = []
+    import solit
+    from solit import ExperimentConfig, run_experiment
+    from solit.genchi2 import mc_sample_quadratic_form
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    from workloads import QUANTILE_DRAWS, quantile_pairs
+
+    sweeps = []
     for cell in cells():
         cfg = ExperimentConfig(theta=2.0, beta=1.0, gamma=1.0, sigma_count=8, runs=RUNS, **cell)
         result = run_experiment(cfg)
-        out.append([
+        sweeps.append([
             {name: [s.histogram.tolist(), s.mse] for name, s in c.selectors.items()}
             for c in result.cells
         ])
-    json.dump(out, sys.stdout)
+    draws = []
+    for master in DRAW_MASTERS:
+        for index, (key, w) in enumerate(quantile_pairs(solit)):
+            seed = int(np.random.SeedSequence((master, index)).generate_state(1, np.uint64)[0])
+            z = mc_sample_quadratic_form(w, QUANTILE_DRAWS, seed)
+            draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest()])
+    json.dump({"sweeps": sweeps, "draws": draws}, sys.stdout)
 
 
 def start(src: str) -> subprocess.Popen:
@@ -145,10 +170,14 @@ def main(argv=None) -> int:
         print("compare_outputs: a sweep run failed", file=sys.stderr)
         return 2
     old, new = (json.loads(text) for text in outputs)
-    total, differ, worst = compare(old, new)
+    total, differ, worst = compare(old["sweeps"], new["sweeps"])
+    draws_differ = [key for (key, a), (_, b) in zip(old["draws"], new["draws"]) if a != b]
+    for key in draws_differ:
+        print(f"draws differ: {key}")
     print(f"histograms differing: {differ} of {total}")
     print(f"worst relative MSE difference: {worst:.2e}")
-    return 1 if differ or worst > MSE_RTOL else 0
+    print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
+    return 1 if differ or worst > MSE_RTOL or draws_differ else 0
 
 
 if __name__ == "__main__":

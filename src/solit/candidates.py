@@ -254,8 +254,9 @@ def build_grid(
         target = theta * big_v[-1]
         if target > v_cap * (1.0 - 1e-12):
             raise ConfigurationError(
-                "variance cannot reach 1/sigma^2 on this truncation: "
-                f"max attainable V = {v_cap:.3g}, needed {1.0 / sigma_min**2:.3g}; "
+                f"the grid cannot reach V = 1/sigma^2 = {1.0 / sigma_min**2:.3g} on this truncation: "
+                f"candidate {len(alphas)} needs V = theta * V_{len(alphas) - 1} = {target:.3g}, "
+                f"above the largest attainable V = {v_cap:.3g}; "
                 "increase the truncation dimension or the noise level"
             )
         alpha_next, _ = line_search_variance(

@@ -17,7 +17,9 @@ variables (Box & Muller 1958, Ann. Math. Statist. 29).
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
@@ -160,6 +162,27 @@ def ltz_quantile_for_weights(w, p: float):
     return float(q[0]) if a.ndim == 1 else q
 
 
+def _fill_blocks(z: np.ndarray, a32: np.ndarray, bitgen, start: int, stop: int, rows: int) -> None:
+    """Draws ``z[start:stop]`` block by block from ``bitgen``, which stands at
+    word ``start * k / 2`` of the seed's stream."""
+    k = a32.size
+    for lo in range(start, stop, rows):
+        m = min(rows, stop - lo)
+        need = (m * k + 1) // 2
+        words = bitgen.random_raw(need).view(np.uint32).reshape(need, 2)
+        r2 = np.add(words[:, 0], np.float32(0.5), dtype=np.float32)
+        r2 *= np.float32(2.0**-32)
+        np.log(r2, out=r2)
+        r2 *= np.float32(-2.0)
+        cos2 = np.multiply(words[:, 1], np.float32(math.pi * 2.0**-32), dtype=np.float32)
+        np.cos(cos2, out=cos2)
+        cos2 *= cos2
+        pairs = np.empty((need, 2), dtype=np.float32)
+        np.multiply(r2, cos2, out=pairs[:, 0])
+        np.subtract(r2, pairs[:, 0], out=pairs[:, 1])
+        z[lo : lo + m] = pairs.reshape(-1)[: m * k].reshape(m, k) @ a32
+
+
 def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     """Seeded draws of Z = sum a_i eps_i^2, deterministic given the seed.
 
@@ -178,6 +201,13 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     Monte Carlo noise.  The largest possible square is -2 ln 2^-33 = 45.75;
     the chi-squared(1) mass beyond it is 1.3e-11, out of reach of any
     supported sample size.
+
+    The blocks are split into contiguous runs, one per CPU of the process's
+    affinity set (never more runs than blocks).  The first run is drawn on
+    the calling thread, each other one on a worker thread whose generator is
+    advanced to the run's first word, ``start * k / 2``.  The words, the
+    blocks and the arithmetic are those of one serial pass, so the draws do
+    not depend on the CPU count.
     """
     a, amax = _weights_array(w)
     if amax == 0.0:
@@ -185,23 +215,22 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     a32 = a[a > amax * 1e-9].astype(np.float32)
     k = a32.size
     rows = max(2, min(_BLOCK_ELEMENTS // k, samples + 1) & ~1)  # even, so rows * k is even
-    bitgen = np.random.PCG64DXSM(seed)
+    blocks = -(-samples // rows)
+    # platforms without an affinity call (macOS, Windows) keep the serial loop
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, blocks)
+    edges = [min(rows * (blocks * i // workers), samples) for i in range(workers + 1)]
     z = np.empty(samples)
-    for start in range(0, samples, rows):
-        m = min(rows, samples - start)
-        need = (m * k + 1) // 2
-        words = bitgen.random_raw(need).view(np.uint32).reshape(need, 2)
-        r2 = np.add(words[:, 0], np.float32(0.5), dtype=np.float32)
-        r2 *= np.float32(2.0**-32)
-        np.log(r2, out=r2)
-        r2 *= np.float32(-2.0)
-        cos2 = np.multiply(words[:, 1], np.float32(math.pi * 2.0**-32), dtype=np.float32)
-        np.cos(cos2, out=cos2)
-        cos2 *= cos2
-        pairs = np.empty((need, 2), dtype=np.float32)
-        np.multiply(r2, cos2, out=pairs[:, 0])
-        np.subtract(r2, pairs[:, 0], out=pairs[:, 1])
-        z[start : start + m] = pairs.reshape(-1)[: m * k].reshape(m, k) @ a32
+    # one CPU submits nothing, so no thread starts and the first run is the
+    # whole serial loop
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        rest = [
+            pool.submit(_fill_blocks, z, a32, np.random.PCG64DXSM(seed).advance(lo * k // 2), lo, hi, rows)
+            for lo, hi in zip(edges[1:-1], edges[2:])
+        ]
+        _fill_blocks(z, a32, np.random.PCG64DXSM(seed), 0, edges[1], rows)
+        for future in rest:
+            future.result()
     return z
 
 

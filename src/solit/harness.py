@@ -345,6 +345,8 @@ def verify_oracle_inequality(result: ExperimentResult) -> OracleInequalityReport
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RESULTS_HEADER = ["sigma", "selector", "mse", "stderr", "m_star", "R_mstar", "C1", "C2", "poa"]
+SELECTIONS_HEADER = ["sigma", "selector", "index", "count"]
+GRID_META_KEYS = ("sigma", "theta1", "theta2", "theta2_requested", "theta2_enlarged", "truncation_tail_ratio")
 
 
 def _fmt(x: float) -> str:
@@ -381,7 +383,7 @@ def write_results(result: ExperimentResult, path: str) -> None:
             fh.write(cell.grid.to_csv())
     with open(os.path.join(path, "selections.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sigma", "selector", "index", "count"])
+        writer.writerow(SELECTIONS_HEADER)
         for cell in result.cells:
             for name in result.config.selectors:
                 hist = cell.selectors[name].histogram
@@ -391,17 +393,7 @@ def write_results(result: ExperimentResult, path: str) -> None:
         "config": asdict(result.config),
         "seed": result.config.seed,
         "sigmas": [cell.sigma for cell in result.cells],
-        "grids": [
-            {
-                "sigma": cell.grid.sigma,
-                "theta1": cell.grid.theta1,
-                "theta2": cell.grid.theta2,
-                "theta2_requested": cell.grid.theta2_requested,
-                "theta2_enlarged": cell.grid.theta2_enlarged,
-                "truncation_tail_ratio": cell.grid.truncation_tail_ratio,
-            }
-            for cell in result.cells
-        ],
+        "grids": [{key: getattr(cell.grid, key) for key in GRID_META_KEYS} for cell in result.cells],
         "versions": {
             "solit": __version__,
             "numpy": np.__version__,
@@ -414,6 +406,17 @@ def write_results(result: ExperimentResult, path: str) -> None:
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, allow_nan=True)
+
+
+def _csv_rows(path: str, columns) -> list[dict]:
+    """The rows of a results CSV file; raises unless its header holds every
+    name in ``columns``."""
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidParameterError(f"{path} lacks the columns {missing}")
+        return list(reader)
 
 
 def read_results(path: str) -> ExperimentResult:
@@ -439,16 +442,13 @@ def read_results(path: str) -> ExperimentResult:
 
     grids = []
     for i, ginfo in enumerate(meta["grids"]):
-        alphas, vs = [], []
-        with open(os.path.join(path, f"grid_{i:03d}.csv")) as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                alphas.append(float(row["alpha"]))
-                vs.append(float(row["v_m"]))
+        if not (isinstance(ginfo, dict) and set(GRID_META_KEYS) <= ginfo.keys()):
+            raise InvalidParameterError(f"{meta_path} grid entry {i} needs the keys {list(GRID_META_KEYS)}")
+        rows = _csv_rows(os.path.join(path, f"grid_{i:03d}.csv"), ("alpha", "v_m"))
         grids.append(
             CandidateGrid(
-                alphas=np.asarray(alphas),
-                v=np.asarray(vs),
+                alphas=np.asarray([float(row["alpha"]) for row in rows]),
+                v=np.asarray([float(row["v_m"]) for row in rows]),
                 theta1=ginfo["theta1"],
                 theta2=ginfo["theta2"],
                 sigma=ginfo["sigma"],
@@ -464,29 +464,35 @@ def read_results(path: str) -> ExperimentResult:
 
     cells: list[SigmaCell] = []
     by_sigma: dict[float, SigmaCell] = {}
-    with open(os.path.join(path, "results.csv")) as fh:
-        for row in csv.DictReader(fh):
-            sig = float(row["sigma"])
-            if sig not in by_sigma:
-                by_sigma[sig] = SigmaCell(
-                    sigma=sig,
-                    grid=grids[len(cells)],
-                    m_star=int(row["m_star"]),
-                    r_mstar=float(row["R_mstar"]),
-                    c1=float(row["C1"]),
-                    c2=float(row["C2"]),
-                    poa=float(row["poa"]),
-                    selectors={},
-                )
-                cells.append(by_sigma[sig])
-            cell = by_sigma[sig]
-            cell.selectors[row["selector"]] = SelectorSummary(
-                mse=float(row["mse"]),
-                stderr=float(row["stderr"]),
-                histogram=np.zeros(cell.grid.m_max + 1, dtype=int),
+    results_path = os.path.join(path, "results.csv")
+    for row in _csv_rows(results_path, RESULTS_HEADER):
+        sig = float(row["sigma"])
+        if sig not in by_sigma:
+            if len(cells) == len(grids):
+                raise InvalidParameterError(f"{results_path} has more noise levels than {meta_path} has grids")
+            by_sigma[sig] = SigmaCell(
+                sigma=sig,
+                grid=grids[len(cells)],
+                m_star=int(row["m_star"]),
+                r_mstar=float(row["R_mstar"]),
+                c1=float(row["C1"]),
+                c2=float(row["C2"]),
+                poa=float(row["poa"]),
+                selectors={},
             )
-    with open(os.path.join(path, "selections.csv")) as fh:
-        for row in csv.DictReader(fh):
-            hist = by_sigma[float(row["sigma"])].selectors[row["selector"]].histogram
-            hist[int(row["index"])] = int(row["count"])
+            cells.append(by_sigma[sig])
+        cell = by_sigma[sig]
+        cell.selectors[row["selector"]] = SelectorSummary(
+            mse=float(row["mse"]),
+            stderr=float(row["stderr"]),
+            histogram=np.zeros(cell.grid.m_max + 1, dtype=int),
+        )
+    selections_path = os.path.join(path, "selections.csv")
+    for row in _csv_rows(selections_path, SELECTIONS_HEADER):
+        cell = by_sigma.get(float(row["sigma"]))
+        summary = cell.selectors.get(row["selector"]) if cell else None
+        index = int(row["index"])
+        if summary is None or not 0 <= index < summary.histogram.size:
+            raise InvalidParameterError(f"{selections_path} row {dict(row)} matches no histogram of {results_path}")
+        summary.histogram[index] = int(row["count"])
     return ExperimentResult(config=config, cells=cells)

@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solit import candidates
 from solit import (
     ConfigurationError,
     FilterSpec,
     InvalidParameterError,
+    antiderivative_problem,
     build_grid,
     line_search_variance,
     pairwise_variance_v,
@@ -131,6 +135,35 @@ class TestBuildGrid:
         p = synthetic_problem([1.0, 0.5, 0.25], [0.0, 0.0, 0.0])
         with pytest.raises(ConfigurationError):
             build_grid(p, TIKH, sigma=1e-9, theta=2.0)
+
+    @pytest.mark.parametrize(("kind", "sigma"), [("tikhonov", 2.466e-9), ("showalter", 2.0e-9), ("cutoff", 1.47e-9)])
+    def test_unreachable_next_target_is_named_with_the_cap(self, kind, sigma):
+        # 1/sigma^2 lies below the largest attainable V here; the check that
+        # fails is that the next target theta * V_last lies above it
+        with pytest.raises(ConfigurationError) as info:
+            build_grid(antiderivative_problem(), FilterSpec(kind), sigma, theta=2.0)
+        found = re.search(r"needs V = theta \* V_\d+ = (\S+), above the largest attainable V = (\S+);", str(info.value))
+        assert found is not None, str(info.value)
+        assert float(found[1]) > float(found[2])
+
+    @pytest.mark.filterwarnings("ignore:omitted variance tail")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["tikhonov", "showalter", "cutoff"]),
+        st.floats(-3.0, 3.0),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1, max_size=40),
+        st.floats(-6.0, -1.0),
+        st.floats(1.2, 4.0),
+    )
+    def test_ratios_within_theta1_theta2_on_random_spectra(self, kind, log_lam1, log_gaps, log_sigma, theta):
+        # decreasing spectra, ties included
+        lam = np.exp(log_lam1 - np.cumsum([0.0, *log_gaps]))
+        try:
+            grid = build_grid(synthetic_problem(lam), FilterSpec(kind), 10.0**log_sigma, theta=theta)
+        except ConfigurationError:
+            return
+        assert np.all(grid.ratios >= grid.theta1 * (1.0 - 1e-12))
+        assert np.all(grid.ratios <= grid.theta2 * (1.0 + 1e-12))
 
     def test_cauchy_schwarz_lower_bound_on_grid_pairs(self, small_benchmarks):
         # v_{m1,m2} >= (sqrt(theta1)-1)^2 v_{m1} for every pair

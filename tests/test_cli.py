@@ -1,6 +1,8 @@
+import csv
 import functools
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -194,6 +196,70 @@ class TestErrors:
         assert captured.err.startswith(f"solit {argv[0]}: error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
+
+
+def _drop_column(path, column):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [name for name in rows[0] if name != column])
+        writer.writeheader()
+        writer.writerows({name: value for name, value in row.items() if name != column} for row in rows)
+
+
+def _append_row(path, row):
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow(row)
+
+
+def _extra_noise_level(path):
+    with open(path, newline="") as fh:
+        first = next(csv.DictReader(fh))
+    _append_row(path, ["1", *list(first.values())[1:]])
+
+
+def _empty_grid_entries(path):
+    meta = json.loads(path.read_text())
+    meta["grids"] = [{} for _ in meta["grids"]]
+    path.write_text(json.dumps(meta))
+
+
+class TestIncompleteResults:
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("complete") / "res"
+        argv = ["simulate", "--problem", "antiderivative", "--n", "64", "--filter", "tikhonov",
+                "--runs", "4", "--sigma-start", "1e-2", "--sigma-stop", "1e-3", "--sigma-count", "3",
+                "--seed", "7", "--out", str(out_dir)]
+        assert main(argv) == 0
+        assert main(["rates", "--in", str(out_dir), "--model", "poly"]) == 0
+        return out_dir
+
+    @pytest.mark.parametrize(
+        ("damage", "message"),
+        [
+            (lambda d: _empty_grid_entries(d / "meta.json"), "grid entry 0 needs the keys"),
+            (lambda d: _drop_column(d / "grid_001.csv", "v_m"), "grid_001.csv lacks the columns ['v_m']"),
+            (lambda d: _drop_column(d / "results.csv", "poa"), "results.csv lacks the columns ['poa']"),
+            (lambda d: _drop_column(d / "selections.csv", "count"),
+             "selections.csv lacks the columns ['count']"),
+            (lambda d: _extra_noise_level(d / "results.csv"), "more noise levels than"),
+            (lambda d: _append_row(d / "selections.csv", ["0.01", "bogus", "0", "1"]), "matches no histogram"),
+            (lambda d: _append_row(d / "selections.csv", ["0.01", "solit", "99", "1"]), "matches no histogram"),
+        ],
+        ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "unknown-selector",
+             "index-out-of-range"],
+    )
+    def test_one_line_and_exit_code_2(self, written, tmp_path, capsys, damage, message):
+        broken = tmp_path / "res"
+        shutil.copytree(written, broken)
+        damage(broken)
+        capsys.readouterr()
+        assert main(["rates", "--in", str(broken), "--model", "poly"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solit rates: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestSimulateDefaults:

@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +303,70 @@ class TestMcSampler:
         for elements in (1, 5, 10, 64):
             monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
             np.testing.assert_allclose(mc_sample_quadratic_form(a, 1001, seed=9), ref, rtol=1e-6, atol=0.0)
+
+    @staticmethod
+    def force_cpus(monkeypatch, count):
+        monkeypatch.setattr(genchi2.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @pytest.mark.parametrize(
+        ("a", "samples", "elements"),
+        [
+            ([1.0], 200_001, None),  # 4 blocks of 65536 rows
+            ([1.0, 3.0, 0.1, 2.0, 1e-3, 0.7, 5.0], 200_001, None),  # 22 blocks of 9362 rows
+            ([1.0, 0.5, 0.25], 1001, 64),  # 51 blocks of 20 rows
+            ([1.0, 3.0, 0.1, 2.0], 11, 10),  # 6 blocks of 2 rows, fewer than 7 CPUs
+        ],
+    )
+    def test_draws_independent_of_cpu_count(self, a, samples, elements, monkeypatch):
+        # every worker count contracts the same blocks as the serial loop, so
+        # even mixed weights give the same draws bit for bit
+        if elements is not None:
+            monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
+        self.force_cpus(monkeypatch, 1)
+        ref = mc_sample_quadratic_form(a, samples, seed=2**64 - 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for cpus in (2, 3, 7):
+                self.force_cpus(monkeypatch, cpus)
+                assert np.array_equal(mc_sample_quadratic_form(a, samples, seed=2**64 - 1), ref), cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_runs_of_whole_blocks_first_on_calling_thread(self, cpus, monkeypatch):
+        monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)  # 4 weights: blocks of 2 rows
+        self.force_cpus(monkeypatch, cpus)
+        calls = []
+        fill = genchi2._fill_blocks
+
+        def recording(z, a32, bitgen, start, stop, rows):
+            calls.append((start, stop, threading.get_ident()))
+            fill(z, a32, bitgen, start, stop, rows)
+
+        monkeypatch.setattr(genchi2, "_fill_blocks", recording)
+        mc_sample_quadratic_form([1.0, 3.0, 0.1, 2.0], 11, seed=3)  # 6 blocks
+        calls.sort()
+        assert len(calls) == min(cpus, 6)
+        assert [start for start, _, _ in calls] == [0] + [stop for _, stop, _ in calls[:-1]]
+        assert calls[-1][1] == 11
+        assert all(start % 2 == 0 for start, _, _ in calls)
+        assert calls[0][2] == threading.get_ident()
+        assert all(ident != threading.get_ident() for _, _, ident in calls[1:])
+
+    def test_error_in_a_later_worker_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)
+        self.force_cpus(monkeypatch, 3)
+        fill = genchi2._fill_blocks
+
+        def failing_last(z, a32, bitgen, start, stop, rows):
+            if start > 0 and stop == 11:
+                raise RuntimeError("last worker failed")
+            fill(z, a32, bitgen, start, stop, rows)
+
+        monkeypatch.setattr(genchi2, "_fill_blocks", failing_last)
+        with pytest.raises(RuntimeError, match="last worker failed"):
+            mc_sample_quadratic_form([1.0, 3.0, 0.1, 2.0], 11, seed=3)
 
     def test_draws_bounded_by_cap(self):
         z = mc_sample_quadratic_form([1.0], 10**6, seed=5)
