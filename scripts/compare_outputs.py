@@ -9,9 +9,11 @@ BLAS thread.  For every sweep the script prints a digest of its
 selected-index histograms under each tree, how many histograms differ and
 the largest relative MSE difference; then the totals.  It also draws
 ``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
-pairs and compares them bit for bit.  It exits with status 1 when a
-histogram differs, an MSE moves by more than ``MSE_RTOL`` (1e-14 relative)
-or a pair's draws differ.
+pairs and compares them bit for bit, and runs ``solit reconstruct`` for a
+fixed set of cases under each tree and prints each tree's chosen candidate
+index.  It exits with status 1 when a histogram differs, an MSE moves by
+more than ``MSE_RTOL`` (1e-14 relative), a pair's draws differ or a
+reconstruct pick differs.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -27,12 +29,19 @@ master seeds 42 and 7; pair i of master s is drawn with seed
 ``SeedSequence((s, i)).generate_state(1, uint64)[0]``, as in that workload.
 Each tree reports the SHA-256 of every pair's float64 draws, so equal
 digests mean equal draws bit for bit.
+
+The reconstruct cases: the 3 problems at their default sizes x {tikhonov,
+showalter, cutoff} x sigma in {1e-2, 1e-4} x seeds 1 to 5, with the default
+theta, beta and gamma.  The chosen index is the position of the printed
+alpha in the grid ``build_grid`` gives for the case.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -49,6 +58,9 @@ LARGE_MASTERS = (2**32, 2**64 + 1, 2**70 + 3)
 RUNS = 200
 MSE_RTOL = 1e-14
 DRAW_MASTERS = (42, 7)
+RECONSTRUCT_FILTERS = ("tikhonov", "showalter", "cutoff")
+RECONSTRUCT_SIGMAS = ("1e-2", "1e-4")
+RECONSTRUCT_SEEDS = (1, 2, 3, 4, 5)
 
 
 def cells() -> list[dict]:
@@ -67,6 +79,28 @@ def cells() -> list[dict]:
     out.append(dict(problem="antiderivative", filter_kind="tikhonov", sigma_start=1e-2,
                     sigma_stop=1e-9, seed=42, problem_params={"n": 8000}))
     return out
+
+
+def reconstruct_cases() -> list[tuple[str, str, str, int]]:
+    """The reconstruct cases as (problem, filter, sigma, seed)."""
+    return [(problem, filt, sigma, seed) for problem in SPANS for filt in RECONSTRUCT_FILTERS
+            for sigma in RECONSTRUCT_SIGMAS for seed in RECONSTRUCT_SEEDS]
+
+
+def reconstruct_pick(solit, problem: str, filt: str, sigma: str, seed: int) -> int:
+    """The candidate index ``solit reconstruct`` chooses for one case."""
+    from solit.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["reconstruct", "--problem", problem, "--filter", filt, "--sigma", sigma,
+                     "--seed", str(seed), "--points", "1"])
+    if code:
+        raise RuntimeError(f"solit reconstruct failed on {problem}/{filt}/sigma={sigma}/seed={seed}")
+    alpha = float(out.getvalue().splitlines()[0].removeprefix("# alpha="))
+    prob = solit.get_problem(problem)
+    grid = solit.build_grid(prob, solit.FilterSpec.for_spectrum(filt, prob.eigenvalues), float(sigma))
+    return int(abs(grid.alphas / alpha - 1.0).argmin())
 
 
 def label(cell: dict) -> str:
@@ -102,7 +136,8 @@ def dump() -> None:
             seed = int(np.random.SeedSequence((master, index)).generate_state(1, np.uint64)[0])
             z = mc_sample_quadratic_form(w, QUANTILE_DRAWS, seed)
             draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest()])
-    json.dump({"sweeps": sweeps, "draws": draws}, sys.stdout)
+    picks = [reconstruct_pick(solit, *case) for case in reconstruct_cases()]
+    json.dump({"sweeps": sweeps, "draws": draws, "picks": picks}, sys.stdout)
 
 
 def start(src: str) -> subprocess.Popen:
@@ -174,10 +209,16 @@ def main(argv=None) -> int:
     draws_differ = [key for (key, a), (_, b) in zip(old["draws"], new["draws"]) if a != b]
     for key in draws_differ:
         print(f"draws differ: {key}")
+    print(f"{'reconstruct case':36} {'old':>4} {'new':>4}")
+    for case, a, b in zip(reconstruct_cases(), old["picks"], new["picks"]):
+        name = "{}/{}/sigma={}/seed={}".format(*case)
+        print(f"{name:36} {a:4d} {b:4d}{'  differs' if a != b else ''}")
+    picks_differ = sum(a != b for a, b in zip(old["picks"], new["picks"]))
     print(f"histograms differing: {differ} of {total}")
     print(f"worst relative MSE difference: {worst:.2e}")
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
-    return 1 if differ or worst > MSE_RTOL or draws_differ else 0
+    print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")
+    return 1 if differ or worst > MSE_RTOL or draws_differ or picks_differ else 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def weak_variance_u(problem: SpectralProblem, spec: FilterSpec, alpha: float, si
     """Operator-norm variance sigma^2 * max_k lam_k q_alpha(lam_k)^2.
 
     Measures the amplification of a single noise coordinate; bounded by
-    cq_prime * sigma^2 / alpha for ordered filters.
+    sigma^2 / alpha for ordered filters, since alpha q_alpha <= 1.
     """
     if sigma < 0:
         raise InvalidParameterError("noise level must be nonnegative")
@@ -202,18 +202,17 @@ def build_grid(
     spec: FilterSpec,
     sigma: float | np.ndarray,
     theta: float = 2.0,
-    v_start: float = 1.0,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> CandidateGrid | list[CandidateGrid]:
     """Construct the candidate grid for noise level ``sigma``.
 
-    The first candidate solves V(alpha_0) = v_start (so v_0 = sigma^2 by
-    default); each subsequent candidate solves log V = log theta + log V_prev
-    by line search; the grid stops at the first candidate with
-    sigma^2 V >= 1.  theta1 = theta - (theta-1)/2 and theta2 = theta +
-    (theta-1)/2; the line-search exit tolerance log(theta2/theta) keeps every
-    achieved ratio inside [theta1, theta2] for continuous filters (since
-    theta1 * theta2 <= theta^2).
+    The first candidate solves V(alpha_0) = 1 (so v_0 = sigma^2); each
+    subsequent candidate solves log V = log theta + log V_prev by line
+    search; the grid stops at the first candidate with sigma^2 V >= 1 and
+    raises ``ConfigurationError`` past ``MAX_CANDIDATES`` candidates.
+    theta1 = theta - (theta-1)/2 and theta2 = theta + (theta-1)/2; the
+    line-search exit tolerance log(theta2/theta) keeps every achieved ratio
+    inside [theta1, theta2] for continuous filters (since theta1 * theta2 <=
+    theta^2).
 
     The candidates do not depend on sigma, only where the grid stops.  Given
     an array of noise levels, the ladder is walked once, down to the smallest,
@@ -225,8 +224,6 @@ def build_grid(
         raise InvalidParameterError("noise level must be positive and finite")
     if not 1 < theta < math.inf:
         raise InvalidParameterError("theta must be finite and exceed 1")
-    if v_start <= 0:
-        raise InvalidParameterError("v_start must be positive")
 
     theta1 = theta - (theta - 1.0) / 2.0
     theta2_req = theta + (theta - 1.0) / 2.0
@@ -234,12 +231,12 @@ def build_grid(
 
     lam = problem.eigenvalues
     a_floor = float(lam[-1])
-    # V(alpha) <= trace / alpha^2, so V(sqrt(trace)) <= 1 <= v_start anchors
-    # the upper bracket end even when V(lam_1) > v_start.
-    a_ceil = max(float(lam[0]), math.sqrt(float(np.sum(lam)) / v_start)) * 2.0
+    # V(alpha) <= trace / alpha^2, so V(sqrt(trace)) <= 1 anchors the upper
+    # bracket end even when V(lam_1) > 1.
+    a_ceil = max(float(lam[0]), math.sqrt(float(np.sum(lam)))) * 2.0
     v_cap = variance_V(problem, spec, a_floor)
 
-    alpha0, _ = line_search_variance(problem, spec, v_start, tol, (a_floor, a_ceil))
+    alpha0, _ = line_search_variance(problem, spec, 1.0, tol, (a_floor, a_ceil))
     alphas = [alpha0]
     big_v = [variance_V(problem, spec, alpha0)]
     # theta2s[m]: the ratio bound of the grid ending at m (enlarged past theta2_req
@@ -247,9 +244,9 @@ def build_grid(
     theta2s = [theta2_req]
     sigma_min = float(sigmas.min())
     while sigma_min**2 * big_v[-1] < 1.0:
-        if len(alphas) >= max_candidates:
+        if len(alphas) >= MAX_CANDIDATES:
             raise ConfigurationError(
-                f"candidate grid exceeded the hard cap of {max_candidates} entries"
+                f"candidate grid exceeded the hard cap of {MAX_CANDIDATES} entries"
             )
         target = theta * big_v[-1]
         if target > v_cap * (1.0 - 1e-12):

@@ -30,13 +30,12 @@ from .genchi2 import ltz_quantile_for_weights, mc_tail_quantiles
 from .harness import (
     ExperimentConfig,
     SELECTOR_NAMES,
-    _pairwise_distance_table,
     fit_rate,
     read_results,
     run_experiment,
     write_results,
 )
-from .selectors import build_thresholds, solit_select
+from .selectors import build_thresholds, stream_select
 from .sequence_model import estimate, estimator_weights, simulate_data
 from .testproblems import DOMAINS, get_problem, synthesize
 
@@ -57,9 +56,17 @@ _SIM_DEFAULTS = {
 }
 
 
+def _cast(key: str, value, kind: type):
+    """``value`` of option ``key`` as a ``kind``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"option {key!r} must be of type {kind.__name__}, not {value!r}") from None
+
+
 def _problem_params(opts: dict) -> dict:
     casts = {"n": int, "R": float, "t_bar": float}
-    return {key: cast(opts[key]) for key, cast in casts.items() if opts.get(key) is not None}
+    return {key: _cast(key, opts[key], cast) for key, cast in casts.items() if opts.get(key) is not None}
 
 
 def _problem_and_filter(args: argparse.Namespace):
@@ -132,6 +139,8 @@ def _merge_simulate_options(args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InvalidParameterError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise InvalidParameterError(f"config file {args.config} must hold a JSON object, not {loaded!r}")
         unknown = set(loaded) - set(_SIM_DEFAULTS)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -142,6 +151,10 @@ def _merge_simulate_options(args: argparse.Namespace) -> dict:
             opts[key] = value
     if isinstance(opts["selectors"], str):
         opts["selectors"] = [name for name in opts["selectors"].split(",") if name]
+    if not (isinstance(opts["selectors"], (list, tuple)) and all(isinstance(n, str) for n in opts["selectors"])):
+        raise InvalidParameterError(
+            f"option 'selectors' must be a comma list or a list of names, not {opts['selectors']!r}"
+        )
     return opts
 
 
@@ -149,7 +162,7 @@ def _simulate_config(opts: dict) -> ExperimentConfig:
     """The sweep of the merged simulate options.  A JSON config may give 2
     for 2.0, so values are cast to the type of the field's default."""
     typed = {
-        key: opts[key] if opts[key] is None or default is None else type(default)(opts[key])
+        key: opts[key] if opts[key] is None or default is None else _cast(key, opts[key], type(default))
         for key, default in _CONFIG_DEFAULTS.items()
     }
     return ExperimentConfig(
@@ -227,8 +240,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
         thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
-        bhat = _pairwise_distance_table(estimator_weights(problem, spec, grid.alphas) * data.y)
-        alpha = float(grid.alphas[solit_select(bhat, thresholds)])
+        # the rule and the distances of the sweeps, for one realization
+        pick = stream_select(data.y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]
+        alpha = float(grid.alphas[pick])
     coeffs = estimate(problem, data, spec, alpha)
     xs = np.linspace(*DOMAINS[opts["problem"]], args.points)
     values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))

@@ -26,22 +26,19 @@ from .errors import InvalidParameterError
 
 FILTER_KINDS = ("tikhonov", "showalter", "cutoff", "landweber")
 
-CONTINUUM = "continuum (0, inf)"
-DISCRETE_EIGENVALUES = "discrete: eigenvalues of the problem at hand"
+# slack of the axiom checks of validate_ordered_filter
+_AXIOM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Which ordered filter to use, plus its constants.
+    """Which ordered filter to use.
 
-    ``cq_prime`` is the bound in alpha * q_alpha <= cq_prime; it equals 1 for
-    all four built-in families.  ``landweber_step`` is the relaxation factor
-    (only for Landweber) and must satisfy step * lam_max <= 1 on the problem
-    at hand.
+    ``landweber_step`` is the relaxation factor (only for Landweber) and must
+    satisfy step * lam_max <= 1 on the problem at hand.
     """
 
     kind: str
-    cq_prime: float = 1.0
     landweber_step: float | None = None
 
     def __post_init__(self):
@@ -49,18 +46,11 @@ class FilterSpec:
             raise InvalidParameterError(
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
             )
-        if self.cq_prime <= 0:
-            raise InvalidParameterError("cq_prime must be positive")
         if self.kind == "landweber":
             if self.landweber_step is None or not 0 < self.landweber_step < math.inf:
                 raise InvalidParameterError(
                     "landweber requires a positive finite relaxation step"
                 )
-
-    @property
-    def admissible_set(self) -> str:
-        """Descriptor of the admissible parameter set."""
-        return DISCRETE_EIGENVALUES if self.kind == "cutoff" else CONTINUUM
 
     @classmethod
     def from_name(cls, name: str, landweber_step: float | None = None) -> "FilterSpec":
@@ -79,17 +69,6 @@ class FilterSpec:
         return cls.from_name(name, landweber_step=landweber_step)
 
 
-def _as_lambda_array(lam):
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 0):
-        raise InvalidParameterError("eigenvalue arguments must be nonnegative")
-    return arr
-
-
-def _maybe_scalar(arr, scalar_input: bool):
-    return float(arr) if scalar_input else arr
-
-
 def filter_weight(spec: FilterSpec, alpha: float, lam):
     """Evaluate q_alpha(lambda).
 
@@ -98,7 +77,9 @@ def filter_weight(spec: FilterSpec, alpha: float, lam):
     if alpha <= 0 or not math.isfinite(alpha):
         raise InvalidParameterError(f"regularization parameter must be positive, got {alpha}")
     scalar = np.isscalar(lam) or (isinstance(lam, np.ndarray) and lam.ndim == 0)
-    x = _as_lambda_array(lam)
+    x = np.asarray(lam, dtype=float)
+    if np.any(x < 0):
+        raise InvalidParameterError("eigenvalue arguments must be nonnegative")
 
     if spec.kind == "tikhonov":
         q = 1.0 / (x + alpha)
@@ -125,7 +106,7 @@ def filter_weight(spec: FilterSpec, alpha: float, lam):
         base = np.clip(1.0 - step * x[pos], 0.0, 1.0)
         q[pos] = (1.0 - base**n_iter) / x[pos]
         q[~pos] = step * n_iter
-    return _maybe_scalar(q, scalar)
+    return float(q) if scalar else q
 
 
 @dataclass(frozen=True)
@@ -145,12 +126,12 @@ def validate_ordered_filter(
     alpha_samples,
     lam_samples,
     weight_fn=None,
-    tol: float = 1e-9,
 ) -> ValidationReport:
     """Check the ordered-filter axioms on a finite sample grid.
 
-    Checks, for every sampled (alpha, lambda): q >= 0, alpha*q <= cq_prime,
-    lambda*q <= 1, and that q is pointwise non-increasing as alpha grows.
+    Checks, for every sampled (alpha, lambda): q >= 0, alpha*q <= 1,
+    lambda*q <= 1, and that q is pointwise non-increasing as alpha grows,
+    each up to ``_AXIOM_TOL``.
     Violations are collected in the report rather than raised.  ``weight_fn``
     overrides the built-in weight evaluation (useful to probe a deliberately
     corrupted filter against the same axioms).
@@ -164,15 +145,15 @@ def validate_ordered_filter(
     prev_q = None
     for a in alphas:
         q = np.asarray(weight_fn(a, lams), dtype=float)
-        if np.any(q < -tol):
+        if np.any(q < -_AXIOM_TOL):
             violations.append(f"negative weight at alpha={a:g}")
-        if np.any(a * q > spec.cq_prime * (1.0 + tol) + tol):
+        if np.any(a * q > 1.0 + _AXIOM_TOL):
             worst = float(np.max(a * q))
-            violations.append(f"alpha*q = {worst:g} exceeds C_q' = {spec.cq_prime:g} at alpha={a:g}")
-        if np.any(lams * q > 1.0 + tol):
+            violations.append(f"alpha*q = {worst:g} exceeds 1 at alpha={a:g}")
+        if np.any(lams * q > 1.0 + _AXIOM_TOL):
             worst = float(np.max(lams * q))
             violations.append(f"lambda*q = {worst:g} exceeds 1 at alpha={a:g}")
-        if prev_q is not None and np.any(q < prev_q - tol):
+        if prev_q is not None and np.any(q < prev_q - _AXIOM_TOL):
             violations.append(f"ordering violated between alpha={a:g} and the previous alpha")
         prev_q = q
     return ValidationReport(n_points=alphas.size * lams.size, violations=tuple(violations))

@@ -2,11 +2,13 @@
 
 The noise level only decides where the candidate grid stops and scales the
 pairwise tables.  So per sweep the runner walks the candidate ladder once,
-down to the smallest noise level, and makes one pass over the deepest grid's
+down to the smallest noise level, and ``build_thresholds`` builds the weight
+table W once on the deepest grid, keeps it, and makes one pass over its
 candidate pairs for the thresholds, the noise-free biases and the variances.
 Every noise level takes a prefix of that grid and of those tables, with the
-thresholds scaled by sigma and the variances by sigma^2; from them come the
-oracle index and the oracle-inequality constants.  The runner then replays
+thresholds scaled by sigma and the variances by sigma^2, and a view of W's
+first rows; from them come the oracle index and the oracle-inequality
+constants.  The runner then replays
 seeded realizations in blocks of runs.  Run r at noise level si draws the
 stream of ``np.random.Philox(seed)`` with seed
 ``SeedSequence((master, si, r)).generate_state(1, uint64)``; Philox is keyed
@@ -15,7 +17,7 @@ vectorized pass (``sequence_model.seed_state``) and each block fills its
 noise rows from one rekeyed generator.  The data are bit-identical to
 per-run ``simulate_data`` draws, however the runs are blocked.  Per block the
 runner evaluates every candidate's squared error from y = g + sigma * eps
-through two matrix products against tables built once per sweep
+through two matrix products against tables built from W once per sweep
 (``_block_errors``).  The solit and Lepskii picks then come from one
 streaming pass (``selectors.stream_select``): it walks the candidate rows m1
 upward, forms one row of empirical distances for the whole block (squared
@@ -54,7 +56,7 @@ from .selectors import (
     stream_select,
 )
 from .selectors import lepskii_select, solit_select  # noqa: F401 - perfbench's selectors probes
-from .sequence_model import estimator_weights, seed_state, seed_words, standard_normals
+from .sequence_model import seed_state, seed_words, standard_normals
 from .sequence_model import simulate_data  # noqa: F401 - perfbench's sequence_model.simulate_data probe
 from .testproblems import get_problem
 
@@ -152,7 +154,9 @@ def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
     Built one row block at a time, ``rows[i+1:] - rows[i]``, so no (k, k, n)
     difference tensor is held.  Differences are formed directly (no Gram
     shortcut): distances far below the row norms would otherwise drown in
-    cancellation.
+    cancellation.  Nothing in the package calls it (the sweeps and ``solit
+    reconstruct`` pick through ``selectors.stream_select``): it is the tests'
+    reference and the benchmark's ``harness.pairwise_distance_table`` probe.
     """
     k = rows.shape[0]
     table = np.zeros((k, k))
@@ -185,7 +189,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     grids = build_grid(problem, spec, sigmas, config.theta)
     # sigmas decrease, so the last grid is the deepest and every other a prefix of it
     tables = build_thresholds(problem, spec, grids[-1], config.beta, config.gamma)
-    w_all = estimator_weights(problem, spec, grids[-1].alphas)
+    w_all = tables.weights
     # the tables of the squared errors (_block_errors) on the deepest grid, in
     # one allocation: as separate arrays they stayed on the malloc heap after
     # the sweep and raised the peak RSS of a later sweep by about 1 MiB
@@ -202,7 +206,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for si, (sigma, grid) in enumerate(zip(sigmas.tolist(), grids)):
         thresholds = tables.restrict(grid)
         mm = grid.m_max
-        w_rows = w_all[: mm + 1]
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         u_star = weak_variance_u(problem, spec, grid.alphas[m_star], sigma)
         c1, c2 = oracle_constants(grid, m_star, u_star, config.beta, config.gamma)
@@ -218,7 +221,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             limits["lepskii"] = lepskii_limits(grid, sigma, config.kappa_tune)
 
         err_sq = np.empty((scored, mm + 1))
-        picks = {name: np.empty(scored, dtype=int) for name in config.selectors}
+        # the oracle and noise-level picks hold for every run; the others are set per block
+        picks = {name: np.full(scored, fixed_choices.get(name, 0)) for name in config.selectors}
         block = max(1, _BLOCK_ELEMENTS // problem.n)
         for start in range(0, scored, block):
             stop = min(start + block, scored)
@@ -232,47 +236,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             eps *= sigma
             eps += problem.data_truth
             eps *= eps
-            for name, idx in stream_select(eps, w_rows, limits).items():
+            for name, idx in stream_select(eps, thresholds.weights, limits).items():
                 picks[name][runs] = idx
-            for name in config.selectors:
-                if name == "optimal":
-                    picks[name][runs] = optimal_select(err_sq[runs])
-                elif name in fixed_choices:
-                    picks[name][runs] = fixed_choices[name]
+            if "optimal" in picks:
+                picks["optimal"][runs] = optimal_select(err_sq[runs])
         err_sq = np.broadcast_to(err_sq, (config.runs, mm + 1))
-        picks = {name: np.broadcast_to(idx, config.runs) for name, idx in picks.items()}
         every_run = np.arange(config.runs)
-        sq_errors = {name: err_sq[every_run, idx] for name, idx in picks.items()}
-        histograms = {
-            name: np.bincount(idx, minlength=mm + 1) for name, idx in picks.items()
-        }
-        r_runs = err_sq[:, m_star]
-
         summaries = {}
-        for name in config.selectors:
-            vals = sq_errors[name]
-            mse = math.fsum(vals) / config.runs
-            stderr = (
-                float(np.std(vals, ddof=1) / math.sqrt(config.runs))
-                if config.runs > 1
-                else 0.0
-            )
-            summaries[name] = SelectorSummary(
-                mse=mse, stderr=stderr, histogram=histograms[name]
-            )
-        r_mstar = math.fsum(r_runs) / config.runs
-        cells.append(
-            SigmaCell(
-                sigma=sigma,
-                grid=grid,
-                m_star=int(m_star),
-                r_mstar=r_mstar,
-                c1=c1,
-                c2=c2,
-                poa=price_of_adaptation(r_mstar, c2),
-                selectors=summaries,
-            )
-        )
+        for name, idx in picks.items():
+            idx = np.broadcast_to(idx, config.runs)
+            vals = err_sq[every_run, idx]
+            stderr = float(np.std(vals, ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
+            summaries[name] = SelectorSummary(mse=math.fsum(vals) / config.runs, stderr=stderr,
+                                              histogram=np.bincount(idx, minlength=mm + 1))
+        r_mstar = math.fsum(err_sq[:, m_star]) / config.runs
+        cells.append(SigmaCell(sigma=sigma, grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
+                               poa=price_of_adaptation(r_mstar, c2), selectors=summaries))
     return ExperimentResult(config=config, cells=cells)
 
 
@@ -344,8 +323,11 @@ def verify_oracle_inequality(result: ExperimentResult) -> OracleInequalityReport
 # --------------------------------------------------------------------------
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-RESULTS_HEADER = ["sigma", "selector", "mse", "stderr", "m_star", "R_mstar", "C1", "C2", "poa"]
-SELECTIONS_HEADER = ["sigma", "selector", "index", "count"]
+# the columns of the results files and the types read_results reads them as
+RESULTS_COLUMNS = {"sigma": float, "selector": str, "mse": float, "stderr": float, "m_star": int,
+                   "R_mstar": float, "C1": float, "C2": float, "poa": float}
+SELECTIONS_COLUMNS = {"sigma": float, "selector": str, "index": int, "count": int}
+GRID_COLUMNS = {"alpha": float, "v_m": float}
 GRID_META_KEYS = ("sigma", "theta1", "theta2", "theta2_requested", "theta2_enlarged", "truncation_tail_ratio")
 
 
@@ -361,29 +343,18 @@ def write_results(result: ExperimentResult, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
+        writer.writerow(RESULTS_COLUMNS)
         for cell in result.cells:
             for name in result.config.selectors:
                 s = cell.selectors[name]
-                writer.writerow(
-                    [
-                        _fmt(cell.sigma),
-                        name,
-                        _fmt(s.mse),
-                        _fmt(s.stderr),
-                        cell.m_star,
-                        _fmt(cell.r_mstar),
-                        _fmt(cell.c1),
-                        _fmt(cell.c2),
-                        _fmt(cell.poa),
-                    ]
-                )
+                writer.writerow([_fmt(cell.sigma), name, _fmt(s.mse), _fmt(s.stderr), cell.m_star,
+                                 _fmt(cell.r_mstar), _fmt(cell.c1), _fmt(cell.c2), _fmt(cell.poa)])
     for i, cell in enumerate(result.cells):
         with open(os.path.join(path, f"grid_{i:03d}.csv"), "w") as fh:
             fh.write(cell.grid.to_csv())
     with open(os.path.join(path, "selections.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SELECTIONS_HEADER)
+        writer.writerow(SELECTIONS_COLUMNS)
         for cell in result.cells:
             for name in result.config.selectors:
                 hist = cell.selectors[name].histogram
@@ -408,15 +379,46 @@ def write_results(result: ExperimentResult, path: str) -> None:
         json.dump(meta, fh, indent=2, allow_nan=True)
 
 
-def _csv_rows(path: str, columns) -> list[dict]:
-    """The rows of a results CSV file; raises unless its header holds every
-    name in ``columns``."""
+def _csv_rows(path: str, columns: dict) -> list[dict]:
+    """The rows of a results CSV file, each cell of the columns in
+    ``columns`` cast by that column's type; raises unless the header holds
+    every column and every such cell casts."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:
             raise InvalidParameterError(f"{path} lacks the columns {missing}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            parsed = {}
+            for name, cast in columns.items():
+                try:
+                    parsed[name] = cast(row[name])
+                except (TypeError, ValueError):
+                    raise InvalidParameterError(
+                        f"{path} line {reader.line_num}: column {name!r} holds {row[name]!r}, "
+                        f"not {'an integer' if cast is int else 'a number'}"
+                    ) from None
+            rows.append(parsed)
+        return rows
+
+
+def _grid_meta(ginfo: dict, where: str) -> dict:
+    """The CandidateGrid fields of a meta.json grid entry: theta2_enlarged a
+    bool, the others numbers (a null tail ratio reads as NaN)."""
+    fields = {}
+    for key in GRID_META_KEYS:
+        value = ginfo[key]
+        if key == "truncation_tail_ratio" and value is None:
+            value = math.nan
+        flag = key == "theta2_enlarged"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (isinstance(value, bool) if flag else number):
+            raise InvalidParameterError(
+                f"{where}: {key!r} holds {value!r}, not {'true or false' if flag else 'a number'}"
+            )
+        fields[key] = value
+    return fields
 
 
 def read_results(path: str) -> ExperimentResult:
@@ -444,55 +446,37 @@ def read_results(path: str) -> ExperimentResult:
     for i, ginfo in enumerate(meta["grids"]):
         if not (isinstance(ginfo, dict) and set(GRID_META_KEYS) <= ginfo.keys()):
             raise InvalidParameterError(f"{meta_path} grid entry {i} needs the keys {list(GRID_META_KEYS)}")
-        rows = _csv_rows(os.path.join(path, f"grid_{i:03d}.csv"), ("alpha", "v_m"))
+        fields = _grid_meta(ginfo, f"{meta_path} grid entry {i}")
+        rows = _csv_rows(os.path.join(path, f"grid_{i:03d}.csv"), GRID_COLUMNS)
         grids.append(
             CandidateGrid(
-                alphas=np.asarray([float(row["alpha"]) for row in rows]),
-                v=np.asarray([float(row["v_m"]) for row in rows]),
-                theta1=ginfo["theta1"],
-                theta2=ginfo["theta2"],
-                sigma=ginfo["sigma"],
-                theta2_requested=ginfo["theta2_requested"],
-                theta2_enlarged=ginfo["theta2_enlarged"],
-                truncation_tail_ratio=(
-                    float("nan")
-                    if ginfo["truncation_tail_ratio"] is None
-                    else ginfo["truncation_tail_ratio"]
-                ),
+                alphas=np.asarray([row["alpha"] for row in rows]),
+                v=np.asarray([row["v_m"] for row in rows]),
+                **fields,
             )
         )
 
     cells: list[SigmaCell] = []
     by_sigma: dict[float, SigmaCell] = {}
     results_path = os.path.join(path, "results.csv")
-    for row in _csv_rows(results_path, RESULTS_HEADER):
-        sig = float(row["sigma"])
+    for row in _csv_rows(results_path, RESULTS_COLUMNS):
+        sig = row["sigma"]
         if sig not in by_sigma:
             if len(cells) == len(grids):
                 raise InvalidParameterError(f"{results_path} has more noise levels than {meta_path} has grids")
-            by_sigma[sig] = SigmaCell(
-                sigma=sig,
-                grid=grids[len(cells)],
-                m_star=int(row["m_star"]),
-                r_mstar=float(row["R_mstar"]),
-                c1=float(row["C1"]),
-                c2=float(row["C2"]),
-                poa=float(row["poa"]),
-                selectors={},
-            )
+            by_sigma[sig] = SigmaCell(sigma=sig, grid=grids[len(cells)], m_star=row["m_star"],
+                                      r_mstar=row["R_mstar"], c1=row["C1"], c2=row["C2"], poa=row["poa"],
+                                      selectors={})
             cells.append(by_sigma[sig])
         cell = by_sigma[sig]
         cell.selectors[row["selector"]] = SelectorSummary(
-            mse=float(row["mse"]),
-            stderr=float(row["stderr"]),
-            histogram=np.zeros(cell.grid.m_max + 1, dtype=int),
-        )
+            mse=row["mse"], stderr=row["stderr"], histogram=np.zeros(cell.grid.m_max + 1, dtype=int))
     selections_path = os.path.join(path, "selections.csv")
-    for row in _csv_rows(selections_path, SELECTIONS_HEADER):
-        cell = by_sigma.get(float(row["sigma"]))
+    for row in _csv_rows(selections_path, SELECTIONS_COLUMNS):
+        cell = by_sigma.get(row["sigma"])
         summary = cell.selectors.get(row["selector"]) if cell else None
-        index = int(row["index"])
+        index = row["index"]
         if summary is None or not 0 <= index < summary.histogram.size:
-            raise InvalidParameterError(f"{selections_path} row {dict(row)} matches no histogram of {results_path}")
-        summary.histogram[index] = int(row["count"])
+            raise InvalidParameterError(f"{selections_path} row {row} matches no histogram of {results_path}")
+        summary.histogram[index] = row["count"]
     return ExperimentResult(config=config, cells=cells)

@@ -7,7 +7,8 @@ sqrt(v_{m1,m2}); the classical balancing rule uses 4 * kappa * sqrt(v_{m2})
 instead; the oracle rule is the deterministic analogue built from true
 biases.  ``solit_select`` and ``lepskii_select`` read whole distance tables;
 ``stream_select`` gives the same picks for a block of realizations from one
-row of distances at a time.
+row of distances at a time, read from the candidate weight table W that
+``build_thresholds`` keeps in its ``ThresholdTable``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,12 @@ class ThresholdTable:
     """Pairwise tables of a grid, upper triangle (NaN elsewhere): thresholds
     kappa, noise-free biases ||(W[m1] - W[m2]) g|| and variances
     sigma^2 ||W[m1] - W[m2]||^2; tail budgets x_m = 2 (1+gamma)
-    log(v_{m+1}/v_0), the tuning constants and the noise level.  A table
-    built by hand may leave out the biases, variances and noise level."""
+    log(v_{m+1}/v_0), the tuning constants and the noise level; and the
+    candidate weight table W[m] = q_{alpha_m}(lam) sqrt(lam), shape (k, n),
+    from which every pairwise quantity of the grid comes, the Monte Carlo
+    errors and distances included.  Everything is read-only, and W is held
+    as a view, so ``restrict`` copies no weights.  A table built by hand may
+    leave out the biases, variances, noise level and weights."""
 
     kappa: np.ndarray
     x: np.ndarray
@@ -41,6 +46,7 @@ class ThresholdTable:
     bias: np.ndarray | None = None
     variance: np.ndarray | None = None
     sigma: float = math.nan
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("kappa", "x", "bias", "variance"):
@@ -48,6 +54,10 @@ class ThresholdTable:
                 table = np.asarray(getattr(self, name), dtype=float).copy()
                 table.flags.writeable = False
                 object.__setattr__(self, name, table)
+        if self.weights is not None:
+            weights = np.asarray(self.weights, dtype=float).view()
+            weights.flags.writeable = False
+            object.__setattr__(self, "weights", weights)
         if self.kappa.ndim != 2 or self.kappa.shape[0] != self.kappa.shape[1]:
             raise InvalidParameterError("kappa must be a square table")
         if self.x.size != self.kappa.shape[0] - 1:
@@ -55,6 +65,8 @@ class ThresholdTable:
         for table in (self.bias, self.variance):
             if table is not None and table.shape != self.kappa.shape:
                 raise InvalidParameterError("bias and variance tables must have the shape of kappa")
+        if self.weights is not None and (self.weights.ndim != 2 or self.weights.shape[0] != self.kappa.shape[0]):
+            raise InvalidParameterError("weights must hold one row per candidate")
 
     @property
     def m_max(self) -> int:
@@ -63,9 +75,10 @@ class ThresholdTable:
     def restrict(self, grid: CandidateGrid) -> "ThresholdTable":
         """The tables of ``grid``, a prefix of the grid these were built for,
         at its own noise level: kappa is linear in sigma, the variances are
-        quadratic in it and the biases do not depend on it."""
+        quadratic in it, and the biases and weights do not depend on it.  The
+        weights are a view of the first rows of this table's."""
         k = grid.alphas.size
-        if self.bias is None or self.variance is None or k > self.kappa.shape[0]:
+        if self.bias is None or self.variance is None or self.weights is None or k > self.kappa.shape[0]:
             raise InvalidParameterError("only a built table restricts to a prefix grid")
         scale = grid.sigma / self.sigma
         return replace(
@@ -75,6 +88,7 @@ class ThresholdTable:
             bias=self.bias[:k, :k],
             variance=scale**2 * self.variance[:k, :k],
             sigma=grid.sigma,
+            weights=self.weights[:k],
         )
 
 
@@ -96,8 +110,8 @@ def build_thresholds(
       bias[m1, m2] = sqrt(d2 @ g^2),
 
     with g the exact data; kappa equals sigma * critical_value_z + beta *
-    sqrt(pairwise_variance_v).  The tables of every prefix of the grid follow
-    by ``ThresholdTable.restrict``.
+    sqrt(pairwise_variance_v).  W is kept in the table's ``weights``.  The
+    tables of every prefix of the grid follow by ``ThresholdTable.restrict``.
     """
     if not (0 < beta < math.inf and 0 < gamma < math.inf):
         raise InvalidParameterError("beta and gamma must be finite and positive")
@@ -113,7 +127,7 @@ def build_thresholds(
         variance[m1, m1 + 1 :] = sigma**2 * d2.sum(-1)
         kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(variance[m1, m1 + 1 :])
         bias[m1, m1 + 1 :] = np.sqrt(d2 @ g2)
-    return ThresholdTable(kappa, x, beta, gamma, bias, variance, sigma)
+    return ThresholdTable(kappa, x, beta, gamma, bias, variance, sigma, w_rows)
 
 
 def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarray:

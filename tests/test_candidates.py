@@ -50,7 +50,7 @@ class TestVarianceFunctionals:
         assert weak_variance_u(p, TIKH, 1.0, 2.0) == pytest.approx(1.0)
 
     def test_weak_variance_bounded_by_sigma_sq_over_alpha(self):
-        # u <= cq_prime * sigma^2 / alpha for ordered filters
+        # u <= sigma^2 / alpha for ordered filters (alpha q_alpha <= 1)
         for spec in (TIKH, FilterSpec("showalter"), CUTOFF):
             for a in np.geomspace(1.0, 1e-3, 15):
                 assert weak_variance_u(TWO_MODE, spec, a, 0.5) <= 0.25 / a * (1 + 1e-12)
@@ -127,9 +127,10 @@ class TestBuildGrid:
         m2 = build_grid(small_antiderivative, TIKH, sigma=1e-4, theta=2.0).m_max
         assert m2 - m1 in (1, 2, 3)  # ~ log(4)/log(theta)
 
-    def test_hard_cap(self, small_antiderivative):
-        with pytest.raises(ConfigurationError):
-            build_grid(small_antiderivative, TIKH, sigma=1e-4, theta=2.0, max_candidates=3)
+    def test_hard_cap(self, small_antiderivative, monkeypatch):
+        monkeypatch.setattr(candidates, "MAX_CANDIDATES", 3)
+        with pytest.raises(ConfigurationError, match="hard cap of 3"):
+            build_grid(small_antiderivative, TIKH, sigma=1e-4, theta=2.0)
 
     def test_noise_level_below_truncation_capacity(self):
         p = synthetic_problem([1.0, 0.5, 0.25], [0.0, 0.0, 0.0])

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from solit import ExperimentConfig, testproblems
+from solit import ExperimentConfig, FilterSpec, build_grid, run_experiment, testproblems
 from solit.cli import _merge_simulate_options, _simulate_config, build_parser, main
 
 
@@ -144,6 +144,35 @@ class TestReconstructCommand:
         xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[2:]]
         assert xs[0] == pytest.approx(-math.pi) and xs[-1] == pytest.approx(math.pi)
 
+    # noise levels at which the 16 runs do not all pick the same candidate
+    @pytest.mark.parametrize(
+        "problem,n,kind,sigma",
+        [("antiderivative", 64, "tikhonov", 1e-2), ("antiderivative", 64, "cutoff", 1e-4),
+         ("gradiometry", 40, "tikhonov", 1e-2), ("gradiometry", 40, "cutoff", 1e-3),
+         ("heat", 24, "tikhonov", 1e-4), ("heat", 24, "cutoff", 1e-3)],
+    )
+    def test_picks_of_the_sweep(self, problem, n, kind, sigma, capsys):
+        # run r of a one-sigma sweep draws simulate_data(problem, sigma, seed_r);
+        # reconstruct with --seed seed_r picks from the same realization
+        cfg = ExperimentConfig(problem=problem, filter_kind=kind, selectors=("solit",), runs=16,
+                               sigma_count=1, sigma_start=sigma, sigma_stop=sigma / 10, seed=3,
+                               problem_params={"n": n})
+        cell, = run_experiment(cfg).cells
+        alphas = build_grid(testproblems.get_problem(problem, n=n), FilterSpec(kind), sigma).alphas
+        np.testing.assert_array_equal(alphas, cell.grid.alphas)
+        picks = []
+        for r in range(cfg.runs):
+            seed = int(np.random.SeedSequence((cfg.seed, 0, r)).generate_state(1, np.uint64)[0])
+            code, out = run_cli(capsys, "reconstruct", "--problem", problem, "--n", str(n), "--filter", kind,
+                                "--sigma", repr(sigma), "--seed", str(seed), "--points", "1")
+            assert code == 0
+            alpha = float(out.splitlines()[0].removeprefix("# alpha="))
+            picks.append(int(np.argmin(np.abs(np.log(alphas / alpha)))))
+            assert alphas[picks[-1]] == pytest.approx(alpha, rel=1e-8)
+        np.testing.assert_array_equal(np.bincount(picks, minlength=alphas.size),
+                                      cell.selectors["solit"].histogram)
+        assert len(set(picks)) > 1
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -198,6 +227,28 @@ class TestErrors:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        ({"runs": "abc"}, "option 'runs' must be of type int, not 'abc'"),
+        ({"theta": "x"}, "option 'theta' must be of type float, not 'x'"),
+        ({"n": "many"}, "option 'n' must be of type int, not 'many'"),
+        ({"selectors": 5}, "option 'selectors' must be a comma list or a list of names, not 5"),
+        ({"selectors": ["solit", 1]}, "option 'selectors' must be"),
+        ([1, 2], "must hold a JSON object, not [1, 2]"),
+    ],
+    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "list"],
+)
+def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solit simulate: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _drop_column(path, column):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -216,6 +267,22 @@ def _extra_noise_level(path):
     with open(path, newline="") as fh:
         first = next(csv.DictReader(fh))
     _append_row(path, ["1", *list(first.values())[1:]])
+
+
+def _set_cell(path, line, column, value):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[line - 2][column] = value
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _set_grid_value(path, entry, key, value):
+    meta = json.loads(path.read_text())
+    meta["grids"][entry][key] = value
+    path.write_text(json.dumps(meta))
 
 
 def _empty_grid_entries(path):
@@ -246,9 +313,35 @@ class TestIncompleteResults:
             (lambda d: _extra_noise_level(d / "results.csv"), "more noise levels than"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "bogus", "0", "1"]), "matches no histogram"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "solit", "99", "1"]), "matches no histogram"),
+            (lambda d: _set_cell(d / "results.csv", 3, "mse", "abc"),
+             "results.csv line 3: column 'mse' holds 'abc', not a number"),
+            (lambda d: _set_cell(d / "results.csv", 2, "m_star", "1.5"),
+             "results.csv line 2: column 'm_star' holds '1.5', not an integer"),
+            (lambda d: _set_cell(d / "results.csv", 4, "sigma", ""),
+             "results.csv line 4: column 'sigma' holds '', not a number"),
+            (lambda d: _set_cell(d / "selections.csv", 2, "count", "x"),
+             "selections.csv line 2: column 'count' holds 'x', not an integer"),
+            (lambda d: _set_cell(d / "selections.csv", 3, "index", "first"),
+             "selections.csv line 3: column 'index' holds 'first', not an integer"),
+            (lambda d: _set_cell(d / "grid_002.csv", 3, "alpha", "abc"),
+             "grid_002.csv line 3: column 'alpha' holds 'abc', not a number"),
+            (lambda d: _set_cell(d / "grid_000.csv", 2, "v_m", "big"),
+             "grid_000.csv line 2: column 'v_m' holds 'big', not a number"),
+            (lambda d: _set_grid_value(d / "meta.json", 1, "theta1", "x"),
+             "grid entry 1: 'theta1' holds 'x', not a number"),
+            (lambda d: _set_grid_value(d / "meta.json", 0, "sigma", [0.01]),
+             "grid entry 0: 'sigma' holds [0.01], not a number"),
+            (lambda d: _set_grid_value(d / "meta.json", 2, "theta2", True),
+             "grid entry 2: 'theta2' holds True, not a number"),
+            (lambda d: _set_grid_value(d / "meta.json", 0, "theta2_enlarged", "no"),
+             "grid entry 0: 'theta2_enlarged' holds 'no', not true or false"),
+            (lambda d: _set_grid_value(d / "meta.json", 0, "truncation_tail_ratio", "small"),
+             "grid entry 0: 'truncation_tail_ratio' holds 'small', not a number"),
         ],
         ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "unknown-selector",
-             "index-out-of-range"],
+             "index-out-of-range", "results-mse", "results-m-star", "results-sigma", "selections-count",
+             "selections-index", "grid-alpha", "grid-v", "meta-theta1", "meta-sigma", "meta-theta2-bool",
+             "meta-enlarged", "meta-tail-ratio"],
     )
     def test_one_line_and_exit_code_2(self, written, tmp_path, capsys, damage, message):
         broken = tmp_path / "res"

@@ -115,10 +115,6 @@ class TestFilterSpec:
         with pytest.raises(InvalidParameterError):
             FilterSpec("landweber")
 
-    def test_admissible_set_descriptor(self):
-        assert "discrete" in FilterSpec("cutoff").admissible_set
-        assert "continuum" in FilterSpec("tikhonov").admissible_set
-
     def test_from_name(self):
         assert FilterSpec.from_name("cutoff").kind == "cutoff"
         assert FilterSpec.from_name("landweber", landweber_step=0.5).landweber_step == 0.5

@@ -110,6 +110,22 @@ class TestBuildThresholds:
             for table in (got.kappa, got.bias, got.variance):
                 assert np.all(np.isnan(table[lower]))
 
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_restricted_weights_are_a_read_only_view(self, name, kind, small_benchmarks):
+        problem = small_benchmarks[name]
+        spec = FilterSpec(kind)
+        grids = build_grid(problem, spec, np.geomspace(1e-2, 1e-6, 4), theta=2.0)
+        deep = build_thresholds(problem, spec, grids[-1])
+        np.testing.assert_array_equal(deep.weights, estimator_weights(problem, spec, grids[-1].alphas))
+        for grid in grids:
+            weights = deep.restrict(grid).weights
+            np.testing.assert_array_equal(weights, estimator_weights(problem, spec, grid.alphas))
+            assert np.shares_memory(weights, deep.weights)
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0, 0] = 0.0
+
     def test_restrict_needs_a_built_table_and_a_prefix(self, small_heat):
         spec = FilterSpec("tikhonov")
         small, large = build_grid(small_heat, spec, np.array([1e-2, 1e-4]), theta=2.0)
@@ -121,6 +137,8 @@ class TestBuildThresholds:
             by_hand.restrict(small)
         with pytest.raises(InvalidParameterError):
             ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0, bias=tt.bias[1:, 1:])
+        with pytest.raises(InvalidParameterError):
+            ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0, weights=tt.weights[1:])
 
     def test_budgets_positive_and_floor(self, small_heat):
         spec = FilterSpec("tikhonov")
