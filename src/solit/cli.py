@@ -41,32 +41,14 @@ from .testproblems import DOMAINS, get_problem, synthesize
 
 _QUANTILE_CHECK_TAILS = (math.exp(-1), math.exp(-2), math.exp(-4))
 
-_CONFIG_DEFAULTS = {
-    f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING
-}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 # the sweep options default as in ExperimentConfig; the others are CLI-only
-_SIM_DEFAULTS = {
-    "problem": "antiderivative",
-    "filter": "tikhonov",
-    **_CONFIG_DEFAULTS,
-    "n": None,
-    "R": None,
-    "t_bar": None,
-    "out": None,
-}
-
-
-def _cast(key: str, value, kind: type):
-    """``value`` of option ``key`` as a ``kind``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"option {key!r} must be of type {kind.__name__}, not {value!r}") from None
+_SIM_DEFAULTS = {"problem": "antiderivative", "filter": "tikhonov", **_CONFIG_DEFAULTS,
+                 "n": None, "R": None, "t_bar": None, "out": None}
 
 
 def _problem_params(opts: dict) -> dict:
-    casts = {"n": int, "R": float, "t_bar": float}
-    return {key: _cast(key, opts[key], cast) for key, cast in casts.items() if opts.get(key) is not None}
+    return {key: opts[key] for key in ("n", "R", "t_bar") if opts.get(key) is not None}
 
 
 def _problem_and_filter(args: argparse.Namespace):
@@ -145,32 +127,16 @@ def _merge_simulate_options(args: argparse.Namespace) -> dict:
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         opts.update(loaded)
-    for key in _SIM_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
+    opts.update({key: value for key, value in vars(args).items() if key in _SIM_DEFAULTS and value is not None})
     if isinstance(opts["selectors"], str):
         opts["selectors"] = [name for name in opts["selectors"].split(",") if name]
-    if not (isinstance(opts["selectors"], (list, tuple)) and all(isinstance(n, str) for n in opts["selectors"])):
-        raise InvalidParameterError(
-            f"option 'selectors' must be a comma list or a list of names, not {opts['selectors']!r}"
-        )
     return opts
 
 
 def _simulate_config(opts: dict) -> ExperimentConfig:
-    """The sweep of the merged simulate options.  A JSON config may give 2
-    for 2.0, so values are cast to the type of the field's default."""
-    typed = {
-        key: opts[key] if opts[key] is None or default is None else _cast(key, opts[key], type(default))
-        for key, default in _CONFIG_DEFAULTS.items()
-    }
-    return ExperimentConfig(
-        problem=opts["problem"],
-        filter_kind=opts["filter"],
-        problem_params=_problem_params(opts),
-        **typed,
-    )
+    """The sweep of the merged simulate options; ExperimentConfig types them."""
+    return ExperimentConfig(opts["problem"], opts["filter"], problem_params=_problem_params(opts),
+                            **{key: opts[key] for key in _CONFIG_DEFAULTS})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -200,7 +166,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
     opts, problem, spec = _problem_and_filter(args)
-    grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
+    grid = build_grid(problem, spec, args.sigma, opts["theta"])
     sys.stdout.write(grid.to_csv())
     if grid.theta2_enlarged:
         print(
@@ -215,7 +181,7 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InvalidParameterError("seed must be nonnegative")
     opts, problem, spec = _problem_and_filter(args)
-    grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
+    grid = build_grid(problem, spec, args.sigma, opts["theta"])
     w_rows = estimator_weights(problem, spec, grid.alphas)
     print("m1,m2,p,ltz,mc,rel_err")
     for m1 in range(grid.m_max):
@@ -238,7 +204,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.alpha is not None:
         alpha = args.alpha
     else:
-        grid = build_grid(problem, spec, args.sigma, float(opts["theta"]))
+        grid = build_grid(problem, spec, args.sigma, opts["theta"])
         thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
         # the rule and the distances of the sweeps, for one realization
         pick = stream_select(data.y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]

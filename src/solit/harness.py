@@ -35,6 +35,7 @@ import json
 import math
 import os
 import platform
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ import scipy
 
 from . import __version__
 from .candidates import CandidateGrid, build_grid, weak_variance_u
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
 from .selectors import (
@@ -71,6 +72,11 @@ _BLOCK_ELEMENTS = 1 << 16
 
 @dataclass
 class ExperimentConfig:
+    """One Monte Carlo sweep.  Each field must have its annotated type
+    (``errors.typed_option``): an int stands for a float, an integral float for
+    an int and a list of names for the tuple; numpy numbers count as Python's,
+    floats are finite, a bool is only a bool, and nothing else converts."""
+
     problem: str
     filter_kind: str
     selectors: tuple[str, ...] = SELECTOR_NAMES
@@ -88,7 +94,8 @@ class ExperimentConfig:
     noise_free: bool = False
 
     def __post_init__(self):
-        self.selectors = tuple(self.selectors)
+        for name, kind in typing.get_type_hints(ExperimentConfig).items():
+            setattr(self, name, typed_option(name, getattr(self, name), kind))
         unknown = set(self.selectors) - set(SELECTOR_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown selectors: {sorted(unknown)}")
@@ -96,10 +103,6 @@ class ExperimentConfig:
             raise InvalidParameterError("at least one Monte Carlo run is required")
         if self.seed < 0:
             raise InvalidParameterError("seed must be nonnegative")
-        # NaN and inf fail here; the ranges are checked where the values are used
-        for name in ("theta", "beta", "gamma", "kappa_tune", "sigma_start"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
         if not (0 < self.sigma_stop < self.sigma_start):
             raise InvalidParameterError("need sigma_start > sigma_stop > 0")
         if self.sigma_count < 1:
@@ -435,12 +438,13 @@ def read_results(path: str) -> ExperimentResult:
         raise InvalidParameterError(
             f"{meta_path} is not a results record: it needs a 'config' object and a 'grids' list"
         )
-    cfg_dict = dict(meta["config"])
+    missing = [name for name in typing.get_type_hints(ExperimentConfig) if name not in meta["config"]]
+    if missing:
+        raise InvalidParameterError(f"{meta_path} config lacks the fields {missing}")
     try:
-        cfg_dict["selectors"] = tuple(cfg_dict["selectors"])
-        config = ExperimentConfig(**cfg_dict)
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameterError(f"{meta_path} holds no valid config: {exc!r}") from None
+        config = ExperimentConfig(**meta["config"])
+    except (TypeError, InvalidParameterError) as exc:  # an unknown field, or a value of the wrong type
+        raise InvalidParameterError(f"{meta_path} holds no valid config: {exc}") from None
 
     grids = []
     for i, ginfo in enumerate(meta["grids"]):

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 from .sequence_model import SpectralProblem
 
 
@@ -231,8 +231,8 @@ PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
 def _lookup(name: str, params: dict) -> tuple:
-    """The builder and spectrum helper of a problem, and the keyword
-    overrides bound to the builder's signature, defaults filled in."""
+    """The builder and spectrum helper of a problem, and the keyword overrides
+    bound to the builder's signature, defaults filled in, typed like them."""
     if name not in _PROBLEMS:
         raise InvalidParameterError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     builder, modes = _PROBLEMS[name]
@@ -241,7 +241,8 @@ def _lookup(name: str, params: dict) -> tuple:
     except TypeError as exc:
         raise InvalidParameterError(f"{name} problem: {exc}") from None
     bound.apply_defaults()
-    return builder, modes, bound.arguments
+    return builder, modes, {key: typed_option(key, value, type(bound.signature.parameters[key].default))
+                            for key, value in bound.arguments.items()}
 
 
 def get_problem(name: str, **params) -> SpectralProblem:

@@ -3,11 +3,12 @@ import functools
 import json
 import math
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from solit import ExperimentConfig, FilterSpec, build_grid, run_experiment, testproblems
+from solit import ExperimentConfig, FilterSpec, InvalidParameterError, build_grid, run_experiment, testproblems
 from solit.cli import _merge_simulate_options, _simulate_config, build_parser, main
 
 
@@ -196,6 +197,7 @@ class TestErrors:
             ("rates", "--in", "{tmp}/no-grids", "--model", "poly"),  # meta.json without grids
             ("rates", "--in", "{tmp}/no-selectors", "--model", "poly"),  # config without selectors
             ("rates", "--in", "{tmp}/unknown-key", "--model", "poly"),  # config with an unknown key
+            ("rates", "--in", "{tmp}/no-runs-seed", "--model", "poly"),  # config without runs and seed
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "nan", "--alpha", "1e-3"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "inf"),
             ("candidates", "--problem", "heat", "--n", "12", "--sigma", "inf"),
@@ -208,13 +210,15 @@ class TestErrors:
         (tmp_path / "invalid.json").write_text("{not json")
         (tmp_path / "results").mkdir()
         (tmp_path / "results" / "meta.json").write_text("{x")
-        config = {"problem": "heat", "filter_kind": "tikhonov", "selectors": []}
+        config = asdict(ExperimentConfig(problem="heat", filter_kind="tikhonov", selectors=()))
         records = {
             "empty": {},
             "list": [1],
             "no-grids": {"config": config},
             "no-selectors": {"config": {"problem": "heat", "filter_kind": "tikhonov"}, "grids": []},
             "unknown-key": {"config": {**config, "bogus": 1}, "grids": []},
+            "no-runs-seed": {"config": {k: v for k, v in config.items() if k not in ("runs", "seed")},
+                             "grids": []},
         }
         for name, record in records.items():
             (tmp_path / name).mkdir()
@@ -233,11 +237,13 @@ class TestErrors:
         ({"runs": "abc"}, "option 'runs' must be of type int, not 'abc'"),
         ({"theta": "x"}, "option 'theta' must be of type float, not 'x'"),
         ({"n": "many"}, "option 'n' must be of type int, not 'many'"),
-        ({"selectors": 5}, "option 'selectors' must be a comma list or a list of names, not 5"),
+        ({"selectors": 5}, "option 'selectors' must be of type list of names, not 5"),
         ({"selectors": ["solit", 1]}, "option 'selectors' must be"),
         ([1, 2], "must hold a JSON object, not [1, 2]"),
+        ({"n": 2.7}, "option 'n' must be of type int, not 2.7"),
+        ({"t_bar": "0.1", "problem": "heat"}, "option 't_bar' must be of type float, not '0.1'"),
     ],
-    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "list"],
+    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "list", "n-fraction", "t-bar-string"],
 )
 def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -247,6 +253,64 @@ def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("solit simulate: error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# wrong option types, each with the one-line message that every entry point
+# reading a config gives: ExperimentConfig, simulate --config and rates --in
+BAD_OPTIONS = [
+    ({"noise_free": "false"}, "option 'noise_free' must be of type bool, not 'false'"),
+    ({"noise_free": "no"}, "option 'noise_free' must be of type bool, not 'no'"),
+    ({"noise_free": 1}, "option 'noise_free' must be of type bool, not 1"),
+    ({"runs": 2.7}, "option 'runs' must be of type int, not 2.7"),
+    ({"runs": "abc"}, "option 'runs' must be of type int, not 'abc'"),
+    ({"seed": True}, "option 'seed' must be of type int, not True"),
+    ({"sigma_count": "4"}, "option 'sigma_count' must be of type int, not '4'"),
+    ({"theta": "x"}, "option 'theta' must be of type float, not 'x'"),
+    ({"beta": None}, "option 'beta' must be of type float, not None"),
+    ({"gamma": math.nan}, "option 'gamma' must be of type float, not nan"),
+    ({"kappa_tune": math.inf}, "option 'kappa_tune' must be of type float, not inf"),
+    ({"sigma_start": [0.1]}, "option 'sigma_start' must be of type float, not [0.1]"),
+    ({"landweber_step": "0.5"}, "option 'landweber_step' must be of type float, not '0.5'"),
+    ({"selectors": 5}, "option 'selectors' must be of type list of names, not 5"),
+    ({"selectors": ["solit", 1]}, "option 'selectors' must be of type list of names, not ['solit', 1]"),
+    ({"problem": 3}, "option 'problem' must be of type str, not 3"),
+]
+
+
+@pytest.fixture(scope="module")
+def small_results(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("small") / "res"
+    assert main(["simulate", "--problem", "heat", "--n", "12", "--runs", "2", "--sigma-start", "1e-2",
+                 "--sigma-stop", "1e-3", "--sigma-count", "3", "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("entry", ["config", "simulate", "rates"])
+@pytest.mark.parametrize(("bad", "message"), BAD_OPTIONS, ids=[repr(bad) for bad, _ in BAD_OPTIONS])
+def test_bad_option_types_give_one_message_at_every_entry(entry, bad, message, small_results, tmp_path, capsys):
+    if entry == "config":
+        with pytest.raises(InvalidParameterError) as info:
+            ExperimentConfig(**{"problem": "heat", "filter_kind": "tikhonov", **bad})
+        assert str(info.value) == message
+        return
+    if entry == "simulate":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        prefix = "solit simulate: error: "
+    else:
+        shutil.copytree(small_results, tmp_path / "res")
+        meta_path = tmp_path / "res" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"].update(bad)
+        meta_path.write_text(json.dumps(meta))
+        argv = ["rates", "--in", str(tmp_path / "res"), "--model", "poly"]
+        prefix = f"solit rates: error: {meta_path} holds no valid config: "
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == prefix + message + "\n"
 
 
 def _drop_column(path, column):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -99,6 +100,41 @@ class TestNonFiniteTuningRejected:
         if name in uses:
             with pytest.raises(InvalidParameterError):
                 uses[name]()
+
+
+class TestOptionTypes:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_is_type_checked(self, name):
+        # a field without a type the gate checks would let any value through
+        kwargs = {"problem": "heat", "filter_kind": "tikhonov", name: object()}
+        with pytest.raises(InvalidParameterError, match=f"^option '{name}' must be of type "):
+            ExperimentConfig(**kwargs)
+
+    def test_accepted_conversions(self):
+        cfg = ExperimentConfig(problem="heat", filter_kind="tikhonov", selectors=["solit"], theta=3,
+                               sigma_count=4.0, runs=np.int64(5), seed=2**70 + 3, beta=np.float32(0.5),
+                               landweber_step=1, noise_free=True)
+        assert cfg.selectors == ("solit",)
+        assert cfg.theta == 3.0 and type(cfg.theta) is float
+        assert cfg.sigma_count == 4 and type(cfg.sigma_count) is int
+        assert cfg.runs == 5 and type(cfg.runs) is int
+        assert cfg.seed == 2**70 + 3
+        assert cfg.beta == 0.5 and type(cfg.beta) is float
+        assert cfg.landweber_step == 1.0 and type(cfg.landweber_step) is float
+        assert cfg.noise_free is True
+
+    def test_large_seed_round_trips_exactly(self, tmp_path):
+        res = run_experiment(ExperimentConfig(**{**SMALL, "runs": 2, "sigma_count": 1, "seed": 2**70 + 3}))
+        write_results(res, str(tmp_path))
+        assert read_results(str(tmp_path)).config.seed == 2**70 + 3
+
+    def test_record_needs_every_field(self, tmp_path):
+        write_results(run_experiment(ExperimentConfig(**{**SMALL, "runs": 2})), str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta["config"]["runs"], meta["config"]["seed"]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidParameterError, match=r"config lacks the fields \['runs', 'seed'\]$"):
+            read_results(str(tmp_path))
 
 
 class TestRunExperiment:

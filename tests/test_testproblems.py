@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ class TestDispatchAndSynthesis:
             get_problem("heat", R=2.0)
         with pytest.raises(InvalidParameterError):
             synthesize("antiderivative", np.zeros(8), [0.5], n=8, t_bar=0.1)
+
+    def test_parameter_types(self):
+        # an integral float stands for an int, an int or a numpy number for a float
+        heat, heat_float_n = get_problem("heat", n=12), get_problem("heat", n=12.0)
+        np.testing.assert_array_equal(heat_float_n.data_truth, heat.data_truth)
+        grad, grad_typed = get_problem("gradiometry", n=8), get_problem("gradiometry", n=np.int64(8), R=2)
+        np.testing.assert_array_equal(grad_typed.eigenvalues, grad.eigenvalues)
+        for params, message in [({"t_bar": "0.1"}, "option 't_bar' must be of type float, not '0.1'"),
+                                 ({"n": 12.5}, "option 'n' must be of type int, not 12.5"),
+                                 ({"n": True}, "option 'n' must be of type int, not True"),
+                                 ({"t_bar": math.nan}, "option 't_bar' must be of type float, not nan")]:
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                get_problem("heat", **params)
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                synthesize("heat", np.zeros(25), [0.0], **params)
 
     @pytest.mark.parametrize("name", ["gradiometry", "heat"])
     def test_synthesis_runs_no_quadrature(self, name, monkeypatch):
