@@ -11,9 +11,13 @@ the largest relative MSE difference; then the totals.  It also draws
 ``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
 pairs and compares them bit for bit, and runs ``solit reconstruct`` for a
 fixed set of cases under each tree and prints each tree's chosen candidate
-index.  It exits with status 1 when a histogram differs, an MSE moves by
-more than ``MSE_RTOL`` (1e-14 relative), a pair's draws differ or a
-reconstruct pick differs.
+index.  NEW_SRC's sweeps run a second time in a child interpreter pinned to
+one CPU of its affinity set, so that they score their noise levels on the
+calling thread alone; their histograms and MSEs must equal those of the run
+on every CPU exactly.  It exits with status 1 when a histogram differs, an
+MSE moves by more than ``MSE_RTOL`` (1e-14 relative), a pair's draws differ,
+a reconstruct pick differs, or the single-CPU sweeps differ from NEW_SRC's
+sweeps on every CPU in any histogram or MSE.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -109,10 +113,14 @@ def label(cell: dict) -> str:
     return f"{cell['problem']}{size}/{cell['filter_kind']}/seed={cell['seed']}"
 
 
-def dump() -> None:
+def dump(one_cpu: bool) -> None:
     """Run every sweep and draw every pair with the solit on the path; print
-    the histograms and MSEs, one entry per sweep, and the labelled draw
-    digests as one JSON object."""
+    the histograms and MSEs, one entry per sweep, the labelled draw digests
+    and the reconstruct picks as one JSON object.  With ``one_cpu`` the
+    process first pins itself to one CPU of its affinity set and runs the
+    sweeps only."""
+    if one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import numpy as np
 
     import solit
@@ -130,6 +138,9 @@ def dump() -> None:
             {name: [s.histogram.tolist(), s.mse] for name, s in c.selectors.items()}
             for c in result.cells
         ])
+    if one_cpu:
+        json.dump({"sweeps": sweeps}, sys.stdout)
+        return
     draws = []
     for master in DRAW_MASTERS:
         for index, (key, w) in enumerate(quantile_pairs(solit)):
@@ -140,13 +151,13 @@ def dump() -> None:
     json.dump({"sweeps": sweeps, "draws": draws, "picks": picks}, sys.stdout)
 
 
-def start(src: str) -> subprocess.Popen:
+def start(src: str, one_cpu: bool = False) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
     # the known truncation warnings of the deep grids would bury the table
     argv = [sys.executable, "-W", "ignore::UserWarning", os.path.abspath(__file__), "--dump"]
-    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    return subprocess.Popen(argv + ["--one-cpu"] * one_cpu, env=env, stdout=subprocess.PIPE, text=True)
 
 
 def digest(sweep: list[dict]) -> str:
@@ -163,6 +174,19 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
+def sweep_differences(a: list, b: list) -> tuple[int, int, float]:
+    """(histograms, differing, worst MSE relative difference) of one sweep
+    run twice."""
+    n_hist = n_diff = 0
+    worst = 0.0
+    for ca, cb in zip(a, b):
+        for name in ca:
+            n_hist += 1
+            n_diff += ca[name][0] != cb[name][0]
+            worst = max(worst, rel_diff(ca[name][1], cb[name][1]))
+    return n_hist, n_diff, worst
+
+
 def compare(old: list, new: list) -> tuple[int, int, float]:
     """Print one line per sweep; return (histograms, differing, worst MSE
     relative difference)."""
@@ -171,13 +195,7 @@ def compare(old: list, new: list) -> tuple[int, int, float]:
     width = max(len(label(cell)) for cell in cells())
     print(f"{'sweep':{width}} {'old':12} {'new':12} {'differ':>8} {'worst MSE rel':>14}")
     for cell, a, b in zip(cells(), old, new):
-        n_hist = n_diff = 0
-        sweep_worst = 0.0
-        for ca, cb in zip(a, b):
-            for name in ca:
-                n_hist += 1
-                n_diff += ca[name][0] != cb[name][0]
-                sweep_worst = max(sweep_worst, rel_diff(ca[name][1], cb[name][1]))
+        n_hist, n_diff, sweep_worst = sweep_differences(a, b)
         print(f"{label(cell):{width}} {digest(a):12} {digest(b):12} {f'{n_diff}/{n_hist}':>8} {sweep_worst:14.2e}")
         total += n_hist
         differ += n_diff
@@ -190,22 +208,26 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--one-cpu", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
-        dump()
+        dump(args.one_cpu)
         return 0
     if args.old_src is None or args.new_src is None:
         parser.error("OLD_SRC and NEW_SRC are required")
     for src in (args.old_src, args.new_src):
         if not os.path.isdir(os.path.join(src, "solit")):
             parser.error(f"{src} holds no solit package")
-    procs = [start(args.old_src), start(args.new_src)]
+    procs = [start(args.old_src), start(args.new_src), start(args.new_src, one_cpu=True)]
     outputs = [p.communicate()[0] for p in procs]
     if any(p.returncode for p in procs):
         print("compare_outputs: a sweep run failed", file=sys.stderr)
         return 2
-    old, new = (json.loads(text) for text in outputs)
+    old, new, one_cpu = (json.loads(text) for text in outputs)
     total, differ, worst = compare(old["sweeps"], new["sweeps"])
+    single = [sweep_differences(a, b) for a, b in zip(new["sweeps"], one_cpu["sweeps"])]
+    single_differ = sum(n_diff for _, n_diff, _ in single)
+    single_worst = max(sweep_worst for _, _, sweep_worst in single)
     draws_differ = [key for (key, a), (_, b) in zip(old["draws"], new["draws"]) if a != b]
     for key in draws_differ:
         print(f"draws differ: {key}")
@@ -218,7 +240,10 @@ def main(argv=None) -> int:
     print(f"worst relative MSE difference: {worst:.2e}")
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
     print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")
-    return 1 if differ or worst > MSE_RTOL or draws_differ or picks_differ else 0
+    print(f"single-CPU histograms differing: {single_differ} of {total}")
+    print(f"single-CPU worst relative MSE difference: {single_worst:.2e}")
+    single_moved = single_differ or single_worst > 0.0
+    return 1 if differ or worst > MSE_RTOL or draws_differ or picks_differ or single_moved else 0
 
 
 if __name__ == "__main__":

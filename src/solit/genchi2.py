@@ -17,15 +17,14 @@ variables (Box & Muller 1958, Ann. Math. Statist. 29).
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
 from .filters import FilterSpec, filter_weight
+from .parallel import cpu_count, map_on_cpus
 from .sequence_model import SpectralProblem
 
 _POISSON_MASS_TOL = 1e-14
@@ -203,11 +202,11 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     supported sample size.
 
     The blocks are split into contiguous runs, one per CPU of the process's
-    affinity set (never more runs than blocks).  The first run is drawn on
-    the calling thread, each other one on a worker thread whose generator is
-    advanced to the run's first word, ``start * k / 2``.  The words, the
-    blocks and the arithmetic are those of one serial pass, so the draws do
-    not depend on the CPU count.
+    affinity set (never more runs than blocks), which ``parallel.map_on_cpus``
+    draws one per thread, the first on the calling thread.  Each run's
+    generator is advanced to the run's first word, ``start * k / 2``.  The
+    words, the blocks and the arithmetic are those of one serial pass, so the
+    draws do not depend on the CPU count.
     """
     a, amax = _weights_array(w)
     if amax == 0.0:
@@ -216,21 +215,16 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     k = a32.size
     rows = max(2, min(_BLOCK_ELEMENTS // k, samples + 1) & ~1)  # even, so rows * k is even
     blocks = -(-samples // rows)
-    # platforms without an affinity call (macOS, Windows) keep the serial loop
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, blocks)
-    edges = [min(rows * (blocks * i // workers), samples) for i in range(workers + 1)]
+    runs = min(cpu_count(), blocks)
+    edges = [min(rows * (blocks * i // runs), samples) for i in range(runs + 1)]
     z = np.empty(samples)
-    # one CPU submits nothing, so no thread starts and the first run is the
-    # whole serial loop
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        rest = [
-            pool.submit(_fill_blocks, z, a32, np.random.PCG64DXSM(seed).advance(lo * k // 2), lo, hi, rows)
-            for lo, hi in zip(edges[1:-1], edges[2:])
-        ]
-        _fill_blocks(z, a32, np.random.PCG64DXSM(seed), 0, edges[1], rows)
-        for future in rest:
-            future.result()
+
+    def draw(run: tuple[int, int]) -> None:
+        lo, hi = run
+        bitgen = np.random.PCG64DXSM(seed)
+        _fill_blocks(z, a32, bitgen.advance(lo * k // 2) if lo else bitgen, lo, hi, rows)
+
+    map_on_cpus(draw, zip(edges[:-1], edges[1:]))
     return z
 
 

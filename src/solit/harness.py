@@ -25,7 +25,13 @@ weight differences against squared data, one matrix product), gives each run
 its pick at the first row within the limits, and stops once every run has
 both picks, so no (runs, k, k) distance table is held.  Blocks hold
 ``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the number of
-runs.  Everything is reproducible from the master seed.
+runs.  Each noise level is one cell (``score_cell`` in ``run_experiment``): it
+reads only the sweep's tables and writes only arrays of its own, so the cells
+are scored on the CPUs of the process's affinity set
+(``parallel.map_on_cpus``), the calling thread included, deepest noise level
+(most candidates) first.  Problem, grid, thresholds and serialization stay on
+the calling thread.  Everything is reproducible from the master seed, bit for
+bit for any CPU count.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .candidates import CandidateGrid, build_grid, weak_variance_u
 from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
+from .parallel import map_on_cpus
 from .selectors import (
     build_thresholds,
     lepskii_limits,
@@ -59,7 +66,7 @@ from .selectors import (
 from .selectors import lepskii_select, solit_select  # noqa: F401 - perfbench's selectors probes
 from .sequence_model import seed_state, seed_words, standard_normals
 from .sequence_model import simulate_data  # noqa: F401 - perfbench's sequence_model.simulate_data probe
-from .testproblems import get_problem
+from .testproblems import get_problem, typed_problem_params
 
 SELECTOR_NAMES = ("solit", "lepskii", "oracle", "optimal", "noise-level")
 
@@ -75,7 +82,9 @@ class ExperimentConfig:
     """One Monte Carlo sweep.  Each field must have its annotated type
     (``errors.typed_option``): an int stands for a float, an integral float for
     an int and a list of names for the tuple; numpy numbers count as Python's,
-    floats are finite, a bool is only a bool, and nothing else converts."""
+    floats are finite, a bool is only a bool, and nothing else converts.  The
+    ``problem_params`` must be parameters of the problem's builder, each typed
+    like its default (``testproblems.typed_problem_params``)."""
 
     problem: str
     filter_kind: str
@@ -96,6 +105,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in typing.get_type_hints(ExperimentConfig).items():
             setattr(self, name, typed_option(name, getattr(self, name), kind))
+        self.problem_params = typed_problem_params(self.problem, self.problem_params)
         unknown = set(self.selectors) - set(SELECTOR_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown selectors: {sorted(unknown)}")
@@ -205,8 +215,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # noise-free runs all see the exact data: score it once, copy to every run
     scored = 1 if config.noise_free else config.runs
     keys = None if config.noise_free else _run_keys(config.seed, sigmas.size, config.runs)
-    cells: list[SigmaCell] = []
-    for si, (sigma, grid) in enumerate(zip(sigmas.tolist(), grids)):
+    block = max(1, _BLOCK_ELEMENTS // problem.n)
+
+    def score_cell(si: int) -> SigmaCell:
+        """The cell of noise level si; it writes only arrays of its own."""
+        sigma, grid = float(sigmas[si]), grids[si]
         thresholds = tables.restrict(grid)
         mm = grid.m_max
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
@@ -226,7 +239,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         err_sq = np.empty((scored, mm + 1))
         # the oracle and noise-level picks hold for every run; the others are set per block
         picks = {name: np.full(scored, fixed_choices.get(name, 0)) for name in config.selectors}
-        block = max(1, _BLOCK_ELEMENTS // problem.n)
         for start in range(0, scored, block):
             stop = min(start + block, scored)
             runs = slice(start, stop)
@@ -253,8 +265,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             summaries[name] = SelectorSummary(mse=math.fsum(vals) / config.runs, stderr=stderr,
                                               histogram=np.bincount(idx, minlength=mm + 1))
         r_mstar = math.fsum(err_sq[:, m_star]) / config.runs
-        cells.append(SigmaCell(sigma=sigma, grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
-                               poa=price_of_adaptation(r_mstar, c2), selectors=summaries))
+        return SigmaCell(sigma=sigma, grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
+                         poa=price_of_adaptation(r_mstar, c2), selectors=summaries)
+
+    # the deepest noise levels have the most candidates and cost the most, so
+    # they are handed out first; each cell lands in its noise level's slot
+    deepest_first = range(sigmas.size - 1, -1, -1)
+    cells = map_on_cpus(score_cell, deepest_first)[::-1]
     return ExperimentResult(config=config, cells=cells)
 
 

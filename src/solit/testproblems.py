@@ -230,19 +230,29 @@ _PROBLEMS = {
 PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
-def _lookup(name: str, params: dict) -> tuple:
-    """The builder and spectrum helper of a problem, and the keyword overrides
-    bound to the builder's signature, defaults filled in, typed like them."""
+def typed_problem_params(name: str, params: dict) -> dict:
+    """The keyword overrides ``params`` of problem ``name``, only the keys
+    given, each typed like the builder's default for it
+    (``errors.typed_option``); raises for an unknown problem or key."""
     if name not in _PROBLEMS:
         raise InvalidParameterError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-    builder, modes = _PROBLEMS[name]
+    signature = inspect.signature(_PROBLEMS[name][0])
     try:
-        bound = inspect.signature(builder).bind(**params)
+        signature.bind(**params)
     except TypeError as exc:
         raise InvalidParameterError(f"{name} problem: {exc}") from None
+    return {key: typed_option(key, value, type(signature.parameters[key].default))
+            for key, value in params.items()}
+
+
+def _lookup(name: str, params: dict) -> tuple:
+    """The builder and spectrum helper of a problem, and its typed keyword
+    overrides with the defaults filled in."""
+    typed = typed_problem_params(name, params)
+    builder, modes = _PROBLEMS[name]
+    bound = inspect.signature(builder).bind(**typed)
     bound.apply_defaults()
-    return builder, modes, {key: typed_option(key, value, type(bound.signature.parameters[key].default))
-                            for key, value in bound.arguments.items()}
+    return builder, modes, bound.arguments
 
 
 def get_problem(name: str, **params) -> SpectralProblem:

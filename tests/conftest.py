@@ -2,6 +2,7 @@
 the acceptance module builds the full-size ones itself."""
 
 import os
+import threading
 
 # one BLAS/OpenMP thread, as in perfbench: pools sized to the machine slow
 # the suite many times over when another job shares the cores.  Set before
@@ -44,6 +45,26 @@ def small_benchmarks(small_antiderivative, small_gradiometry, small_heat):
         "gradiometry": small_gradiometry,
         "heat": small_heat,
     }
+
+
+def force_cpus(monkeypatch, count):
+    """Make the process's affinity set, which ``parallel.cpu_count`` reads,
+    hold ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def record_started_threads(monkeypatch) -> list:
+    """The list to which every ``threading.Thread`` started from now on is
+    appended."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
 
 
 def synthetic_problem(eigenvalues, truth=None, exact_forward=True, label="synthetic"):

@@ -313,6 +313,59 @@ def test_bad_option_types_give_one_message_at_every_entry(entry, bad, message, s
     assert captured.err == prefix + message + "\n"
 
 
+# problem parameters of the wrong type or unknown to the heat problem, with
+# the one-line message every entry point reading a config gives
+BAD_PROBLEM_PARAMS = [
+    ({"n": "many"}, "option 'n' must be of type int, not 'many'"),
+    ({"n": 12.5}, "option 'n' must be of type int, not 12.5"),
+    ({"t_bar": "0.1"}, "option 't_bar' must be of type float, not '0.1'"),
+    ({"R": 3.0}, "heat problem: got an unexpected keyword argument 'R'"),
+]
+
+
+@pytest.mark.parametrize("entry", ["config", "simulate", "rates"])
+@pytest.mark.parametrize(("bad", "message"), BAD_PROBLEM_PARAMS, ids=[repr(bad) for bad, _ in BAD_PROBLEM_PARAMS])
+def test_bad_problem_params_give_one_message_at_every_entry(entry, bad, message, small_results, tmp_path, capsys):
+    if entry == "config":
+        with pytest.raises(InvalidParameterError) as info:
+            ExperimentConfig(problem="heat", filter_kind="tikhonov", problem_params=bad)
+        assert str(info.value) == message
+        return
+    if entry == "simulate":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"problem": "heat", **bad}))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        prefix = "solit simulate: error: "
+    else:
+        shutil.copytree(small_results, tmp_path / "res")
+        meta_path = tmp_path / "res" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["problem_params"] = bad
+        meta_path.write_text(json.dumps(meta))
+        argv = ["rates", "--in", str(tmp_path / "res"), "--model", "poly"]
+        prefix = f"solit rates: error: {meta_path} holds no valid config: "
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == prefix + message + "\n"
+
+
+def test_problem_params_recorded_as_typed_and_only_as_given(small_results, tmp_path):
+    config = ExperimentConfig(problem="heat", filter_kind="tikhonov", problem_params={"n": np.int64(12)})
+    assert config.problem_params == {"n": 12} and type(config.problem_params["n"]) is int
+    assert ExperimentConfig(problem="heat", filter_kind="tikhonov").problem_params == {}
+    # the record written by `simulate --n 12` holds only the given key, as an int
+    meta = json.loads((small_results / "meta.json").read_text())
+    assert meta["config"]["problem_params"] == {"n": 12}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "heat", "n": 12.0, "t_bar": 1, "runs": 2, "sigma_count": 1}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    recorded = json.loads((tmp_path / "out" / "meta.json").read_text())["config"]["problem_params"]
+    assert recorded == {"n": 12, "t_bar": 1.0}
+    assert [type(value) for value in recorded.values()] == [int, float]
+
+
 def _drop_column(path, column):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -24,7 +24,7 @@ from solit import (
 from solit.filters import filter_weight
 from solit import genchi2
 from solit.genchi2 import mc_sample_quadratic_form, mc_tail_quantiles
-from conftest import synthetic_problem
+from conftest import force_cpus, synthetic_problem
 
 CHI2_1_Q95 = 3.8414588206941285  # scipy.special.chdtri(1, 0.05)
 CHI2_1_MEDIAN = 0.4549364231195724
@@ -304,10 +304,6 @@ class TestMcSampler:
             monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
             np.testing.assert_allclose(mc_sample_quadratic_form(a, 1001, seed=9), ref, rtol=1e-6, atol=0.0)
 
-    @staticmethod
-    def force_cpus(monkeypatch, count):
-        monkeypatch.setattr(genchi2.os, "sched_getaffinity", lambda pid: set(range(count)))
-
     @pytest.mark.parametrize(
         ("a", "samples", "elements"),
         [
@@ -322,13 +318,13 @@ class TestMcSampler:
         # even mixed weights give the same draws bit for bit
         if elements is not None:
             monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
-        self.force_cpus(monkeypatch, 1)
+        force_cpus(monkeypatch, 1)
         ref = mc_sample_quadratic_form(a, samples, seed=2**64 - 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for cpus in (2, 3, 7):
-                self.force_cpus(monkeypatch, cpus)
+                force_cpus(monkeypatch, cpus)
                 assert np.array_equal(mc_sample_quadratic_form(a, samples, seed=2**64 - 1), ref), cpus
         finally:
             sys.setswitchinterval(interval)
@@ -336,7 +332,7 @@ class TestMcSampler:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
     def test_runs_of_whole_blocks_first_on_calling_thread(self, cpus, monkeypatch):
         monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)  # 4 weights: blocks of 2 rows
-        self.force_cpus(monkeypatch, cpus)
+        force_cpus(monkeypatch, cpus)
         calls = []
         fill = genchi2._fill_blocks
 
@@ -356,7 +352,7 @@ class TestMcSampler:
 
     def test_error_in_a_later_worker_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)
-        self.force_cpus(monkeypatch, 3)
+        force_cpus(monkeypatch, 3)
         fill = genchi2._fill_blocks
 
         def failing_last(z, a32, bitgen, start, stop, rows):

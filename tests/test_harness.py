@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -46,7 +47,7 @@ from solit.selectors import (
 )
 from solit.filters import filter_weight
 from solit.sequence_model import estimator_weights
-from conftest import bias_norms
+from conftest import bias_norms, force_cpus, record_started_threads
 
 SMALL = dict(problem="antiderivative", filter_kind="tikhonov", runs=8, sigma_count=3,
              sigma_start=1e-2, sigma_stop=1e-3, seed=11, problem_params={"n": 64})
@@ -402,14 +403,16 @@ class TestBlockedRuns:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(optimal_select(got), optimal_select(want))
 
-    def test_peak_memory_does_not_grow_with_runs(self, monkeypatch):
-        # the problem is built outside the measurement, so the peak is the cell's own
+    @pytest.mark.parametrize(("sigma_count", "cpus"), [(1, 1), (8, 2)])
+    def test_peak_memory_does_not_grow_with_runs(self, sigma_count, cpus, monkeypatch):
+        # the problem is built outside the measurement, so the peak is the cells' own
         problem = get_problem("antiderivative", n=2000)
         monkeypatch.setattr(harness, "get_problem", lambda *args, **kwargs: problem)
+        force_cpus(monkeypatch, cpus)
         peaks = {}
         for runs in (40, 400):
             cfg = ExperimentConfig(problem="antiderivative", filter_kind="tikhonov", runs=runs,
-                                   sigma_count=1, sigma_start=1e-3, sigma_stop=1e-4, seed=1)
+                                   sigma_count=sigma_count, sigma_start=1e-3, sigma_stop=1e-4, seed=1)
             tracemalloc.start()
             try:
                 run_experiment(cfg)
@@ -560,6 +563,89 @@ class TestBlockSize:
             for name in cfg.selectors:
                 np.testing.assert_array_equal(a.selectors[name].histogram, b.selectors[name].histogram)
                 assert a.selectors[name].mse == pytest.approx(b.selectors[name].mse, rel=1e-14)
+
+
+def plain(value):
+    """``value`` with every dataclass, array and float taken apart into
+    dicts, lists and ``float.hex`` strings, so that ``==`` compares two
+    results field by field and bit for bit (NaN included)."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return plain(value.tolist())
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestThreadedCells:
+    # blocks of 4 runs, 11 runs: two whole blocks and a short one per cell
+    MULTI_BLOCK = dict(problem="antiderivative", filter_kind="tikhonov", runs=11, sigma_count=5,
+                       sigma_start=1e-2, sigma_stop=1e-5, seed=2**64 + 1, problem_params={"n": 200})
+    NOISE_FREE = dict(problem="heat", filter_kind="cutoff", runs=3, sigma_count=4, sigma_start=1e-2,
+                      sigma_stop=1e-6, seed=5, problem_params={"n": 24}, noise_free=True)
+
+    @pytest.mark.parametrize("sweep", [MULTI_BLOCK, NOISE_FREE], ids=["multi-block", "noise-free"])
+    def test_result_independent_of_cpu_count(self, sweep, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 4 * 200)
+        cfg = ExperimentConfig(**sweep)
+        started = record_started_threads(monkeypatch)
+        force_cpus(monkeypatch, 1)
+        serial = plain(run_experiment(cfg))
+        assert started == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for cpus in (2, 3, 16):
+                force_cpus(monkeypatch, cpus)
+                del started[:]
+                assert plain(run_experiment(cfg)) == serial, cpus
+                assert len(started) == min(cpus, cfg.sigma_count) - 1
+                assert not any(thread.is_alive() for thread in started)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_noise_level_starts_no_thread(self, monkeypatch):
+        started = record_started_threads(monkeypatch)
+        force_cpus(monkeypatch, 16)
+        res = run_experiment(ExperimentConfig(**{**self.MULTI_BLOCK, "sigma_count": 1}))
+        assert started == [] and len(res.cells) == 1
+
+    def test_cells_deepest_first(self, monkeypatch):
+        force_cpus(monkeypatch, 1)
+        order = []
+        select = harness.stream_select
+
+        def recording(y_sq, w_rows, limits):
+            order.append(w_rows.shape[0])
+            return select(y_sq, w_rows, limits)
+
+        monkeypatch.setattr(harness, "stream_select", recording)
+        res = run_experiment(ExperimentConfig(**self.MULTI_BLOCK))
+        assert order == [cell.grid.m_max + 1 for cell in reversed(res.cells)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_error_at_one_noise_level_reaches_the_caller(self, cpus, monkeypatch):
+        cfg = ExperimentConfig(**self.MULTI_BLOCK)
+        sizes = [cell.grid.m_max + 1 for cell in run_experiment(cfg).cells]
+        failing = sizes[2]
+        assert sizes.count(failing) == 1
+        select = harness.stream_select
+
+        def failing_select(y_sq, w_rows, limits):
+            if w_rows.shape[0] == failing:
+                raise RuntimeError("noise level 2 failed")
+            return select(y_sq, w_rows, limits)
+
+        monkeypatch.setattr(harness, "stream_select", failing_select)
+        started = record_started_threads(monkeypatch)
+        force_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="noise level 2 failed"):
+            run_experiment(cfg)
+        assert len(started) == cpus - 1
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestRunKeys:
