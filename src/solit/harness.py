@@ -23,11 +23,15 @@ streaming pass (``selectors.stream_select``): it walks the candidate rows m1
 upward, forms one row of empirical distances for the whole block (squared
 weight differences against squared data, one matrix product), gives each run
 its pick at the first row within the limits, and stops once every run has
-both picks, so no (runs, k, k) distance table is held.  Blocks hold
-``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the number of
-runs.  Each noise level is one cell (``score_cell`` in ``run_experiment``): it
-reads only the sweep's tables and writes only arrays of its own, so the cells
-are scored on the CPUs of the process's affinity set
+both picks, so no (runs, k, k) distance table is held.  A first product
+gives every run's adjacent distances ||(W[m+1] - W[m]) y||, and a row is
+formed only when some pending run's adjacent distance there is not over its
+limit by more than a rounding margin of 8 (n+1) 2^-53 relative; rows whose
+runs would all be rejected are skipped, and the picks do not change.
+Blocks hold ``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the
+number of runs.  Each noise level is one cell (``score_cell`` in
+``run_experiment``): it reads only the sweep's tables and writes only arrays
+of its own, so the cells are scored on the CPUs of the process's affinity set
 (``parallel.map_on_cpus``), the calling thread included, deepest noise level
 (most candidates) first.  Problem, grid, thresholds and serialization stay on
 the calling thread.  Everything is reproducible from the master seed, bit for
@@ -52,7 +56,7 @@ from .candidates import CandidateGrid, build_grid, weak_variance_u
 from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
-from .parallel import map_on_cpus
+from .parallel import cpu_count, map_on_cpus
 from .selectors import (
     build_thresholds,
     lepskii_limits,
@@ -358,8 +362,9 @@ def _fmt(x: float) -> str:
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write results.csv, one grid_XYZ.csv per noise level, selections.csv
     with the selected-index histograms, and meta.json echoing the config, the
-    package and library versions, the BLAS thread variables and the Monte
-    Carlo block budget (``read_results`` ignores the last three)."""
+    package and library versions, the BLAS thread variables, the number of
+    threads that score the cells and the Monte Carlo block budget
+    (``read_results`` ignores the last four)."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -393,6 +398,9 @@ def write_results(result: ExperimentResult, path: str) -> None:
         },
         # numpy reads these once, when it loads; null when unset
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        # the threads run_experiment scores the cells on in this process, the
+        # calling one included; with BLAS threads of their own they oversubscribe
+        "cell_threads": min(cpu_count(), result.config.sigma_count),
         "block_elements": _BLOCK_ELEMENTS,
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:

@@ -8,7 +8,8 @@ instead; the oracle rule is the deterministic analogue built from true
 biases.  ``solit_select`` and ``lepskii_select`` read whole distance tables;
 ``stream_select`` gives the same picks for a block of realizations from one
 row of distances at a time, read from the candidate weight table W that
-``build_thresholds`` keeps in its ``ThresholdTable``.
+``build_thresholds`` keeps in its ``ThresholdTable``, and skips the rows
+that the runs' adjacent-pair distances already reject.
 """
 
 from __future__ import annotations
@@ -205,24 +206,47 @@ def stream_select(
     against one (k, k) table, of which only m2 > m1 is read: ``kappa`` for
     solit, the row ``lepskii_limits`` for Lepskii.  A run's pick is the
     first m1 whose distances are all within the limits, m_max when none is,
-    exactly as ``_first_accepted_row`` finds it on the full tables.  The
-    walk stops as soon as every run has a pick under every rule.
+    exactly as ``_first_accepted_row`` finds it on the full tables.
+
+    Most rows are never formed.  One GEMM against np.diff(W)**2 first gives
+    every run's adjacent distances a[b, m] = ||(W[m+1] - W[m]) * y_b||, and
+    a run is screened out of row m1 under a rule when
+    a[b, m1] > limit[m1, m1+1] * (1 + 8 (n+1) 2^-53).  That column of the
+    full row sums the same n nonnegative products as a, so each lies within
+    gamma_n = n u / (1 - n u) of the exact sum (u = 2^-53, in any order of
+    summation); the margin covers both, the roundings of sqrt and of the
+    product with the limit, and a screened-out run fails the full row's
+    test too.  Adjacent distances outside [2^-510, 2^511], where a product
+    or sum could under- or overflow, and NaN distances or limits screen
+    nobody out.  A full row
+    is formed, for the whole block as before, only when some pending run is
+    not screened out of it under some rule, so the picks are unchanged bit
+    for bit.  The walk stops as soon as every run has a pick under every
+    rule.
     """
-    k = w_rows.shape[0]
-    runs = y_sq.shape[0]
-    limits = {name: np.broadcast_to(table, (k, k)) for name, table in limits.items()}
-    picks = {name: np.full(runs, k - 1) for name in limits}
-    pending = {name: np.ones(runs, dtype=bool) for name in limits}
-    for m1 in range(k - 1):
-        if not any(p.any() for p in pending.values()):
-            break
-        d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
-        bhat = np.sqrt(y_sq @ d2.T)
-        for name, table in limits.items():
-            accepted = pending[name] & np.all(bhat <= table[m1, m1 + 1 :], axis=1)
-            picks[name][accepted] = m1
-            pending[name] &= ~accepted
-    return picks
+    k, n = w_rows.shape
+    names = list(limits)
+    picks = np.full((len(names), y_sq.shape[0]), k - 1)
+    if names and k > 1:
+        table = np.stack([np.broadcast_to(limits[name], (k, k)) for name in names])
+        adjacent = np.sqrt(y_sq @ (np.diff(w_rows, axis=0) ** 2).T).T  # (k-1, runs)
+        adjacent[~((2.0**-510 <= adjacent) & (adjacent <= 2.0**511))] = np.nan
+        margin = 1.0 + 8.0 * (n + 1) * 2.0**-53
+        adjacent_limits = margin * np.diagonal(table, 1, axis1=1, axis2=2).T
+        # unscreened[m1, r, b]: run b may accept row m1 under rule r
+        unscreened = ~(adjacent[:, None, :] > adjacent_limits[:, :, None])
+        pending = np.ones(picks.shape, dtype=bool)
+        for m1 in range(k - 1):
+            if not (pending & unscreened[m1]).any():
+                if pending.any():
+                    continue
+                break
+            d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
+            bhat = np.sqrt(y_sq @ d2.T)
+            accepted = pending & np.all(bhat <= table[:, None, m1, m1 + 1 :], axis=-1)
+            picks[accepted] = m1
+            pending &= ~accepted
+    return dict(zip(names, picks))
 
 
 def optimal_select(errors) -> int | np.ndarray:

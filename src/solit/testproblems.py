@@ -30,6 +30,7 @@ form when that reference is regenerated.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 
@@ -43,9 +44,20 @@ from .sequence_model import SpectralProblem
 # quadrature and basis machinery
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order`` on [-1, 1], read-only.
+    Cached per order because ``leggauss`` dominates a warm gradiometry or
+    heat build (27 ms at order 489); a stopgap until their data come in
+    closed form and the quadrature goes."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _piecewise_gauss(breakpoints, nodes_per_piece: int):
     """Composite Gauss-Legendre nodes and weights over consecutive pieces."""
-    t, wt = np.polynomial.legendre.leggauss(nodes_per_piece)
+    t, wt = _gauss_legendre(nodes_per_piece)
     xs, ws = [], []
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         xs.append(0.5 * (b - a) * t + 0.5 * (a + b))

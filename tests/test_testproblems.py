@@ -258,3 +258,20 @@ class TestDispatchAndSynthesis:
         np.testing.assert_array_equal(synthesize(name, p.truth, xs, n=12), expected)
         with pytest.raises(AssertionError, match="quadrature"):
             get_problem(name, n=12)
+
+    @pytest.mark.parametrize("name", ["gradiometry", "heat"])
+    def test_gauss_legendre_nodes_are_cached_read_only(self, name, monkeypatch):
+        testproblems._gauss_legendre.cache_clear()
+        cold = get_problem(name, n=12)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda order: calls.append(order) or leggauss(order))
+        warm = get_problem(name, n=12)
+        assert calls == []  # the second build reads the nodes of the first
+        for field in ("eigenvalues", "truth", "data_truth"):
+            np.testing.assert_array_equal(getattr(warm, field), getattr(cold, field))
+        nodes, weights = testproblems._gauss_legendre(70)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        want = leggauss(70)
+        np.testing.assert_array_equal(nodes, want[0])
+        np.testing.assert_array_equal(weights, want[1])
