@@ -3,11 +3,13 @@
 The noise level only decides where the candidate grid stops and scales the
 pairwise tables.  So per sweep the runner walks the candidate ladder once,
 down to the smallest noise level, and ``build_thresholds`` builds the weight
-table W once on the deepest grid, keeps it, and makes one pass over its
-candidate pairs for the thresholds, the noise-free biases and the variances.
-Every noise level takes a prefix of that grid and of those tables, with the
-thresholds scaled by sigma and the variances by sigma^2, and a view of W's
-first rows; from them come the oracle index and the oracle-inequality
+table W once on the deepest grid and every table that comes from it, in one
+``ThresholdTable``: one pass over its candidate pairs for the thresholds, the
+noise-free biases and the variances, and the per-candidate tables of the
+squared errors.  Every noise level takes a prefix of that grid and, through
+``ThresholdTable.restrict``, of those tables: the thresholds scaled by sigma,
+the variances by sigma^2, and a read-only view of the first rows of every
+other table; from them come the oracle index and the oracle-inequality
 constants.  The runner then replays
 seeded realizations in blocks of runs.  Run r at noise level si draws the
 stream of ``np.random.Philox(seed)`` with seed
@@ -17,7 +19,7 @@ vectorized pass (``sequence_model.seed_state``) and each block fills its
 noise rows from one rekeyed generator.  The data are bit-identical to
 per-run ``simulate_data`` draws, however the runs are blocked.  Per block the
 runner evaluates every candidate's squared error from y = g + sigma * eps
-through two matrix products against tables built from W once per sweep
+through two matrix products against the restricted error tables
 (``_block_errors``).  The solit and Lepskii picks then come from one
 streaming pass (``selectors.stream_select``): it walks the candidate rows m1
 upward, forms one row of empirical distances for the whole block (squared
@@ -58,6 +60,7 @@ from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
 from .parallel import cpu_count, map_on_cpus
 from .selectors import (
+    ThresholdTable,
     build_thresholds,
     lepskii_limits,
     noise_level_select,
@@ -113,6 +116,9 @@ class ExperimentConfig:
         unknown = set(self.selectors) - set(SELECTOR_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown selectors: {sorted(unknown)}")
+        repeated = {name for name in self.selectors if self.selectors.count(name) > 1}
+        if repeated:
+            raise InvalidParameterError(f"repeated selectors: {sorted(repeated)}")
         if self.runs < 1:
             raise InvalidParameterError("at least one Monte Carlo run is required")
         if self.seed < 0:
@@ -183,18 +189,17 @@ def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
     return table + table.T
 
 
-def _block_errors(eps: np.ndarray, sigma: float, b_sq: np.ndarray, wb_rows: np.ndarray,
-                  w_sq: np.ndarray) -> np.ndarray:
+def _block_errors(eps: np.ndarray, sigma: float, thresholds: ThresholdTable) -> np.ndarray:
     """Squared errors ||W[m] * y_b - f||^2 of a block of realizations
     y_b = g + sigma * eps_b, shape (block, k).
 
     With B = W * g - f the error is ||B_m||^2 + 2 sigma eps_b . (W_m B_m) +
-    sigma^2 eps_b^2 . W_m^2: two GEMMs against the tables ``b_sq`` (the
-    ||B_m||^2), ``wb_rows`` (W * B) and ``w_sq`` (W^2), with no (block, k, n)
-    tensor.  Each term is of the order of the error itself, so this is not a
-    Gram-type cancellation.
+    sigma^2 eps_b^2 . W_m^2: two GEMMs against the tables of ``thresholds``,
+    ``b_sq`` (the ||B_m||^2), ``wb`` (W * B) and ``w_sq`` (W^2), with no
+    (block, k, n) tensor.  Each term is of the order of the error itself, so
+    this is not a Gram-type cancellation.
     """
-    return b_sq + 2.0 * sigma * (eps @ wb_rows.T) + sigma**2 * (eps**2 @ w_sq.T)
+    return thresholds.b_sq + 2.0 * sigma * (eps @ thresholds.wb.T) + sigma**2 * (eps**2 @ thresholds.w_sq.T)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -206,16 +211,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     grids = build_grid(problem, spec, sigmas, config.theta)
     # sigmas decrease, so the last grid is the deepest and every other a prefix of it
     tables = build_thresholds(problem, spec, grids[-1], config.beta, config.gamma)
-    w_all = tables.weights
-    # the tables of the squared errors (_block_errors) on the deepest grid, in
-    # one allocation: as separate arrays they stayed on the malloc heap after
-    # the sweep and raised the peak RSS of a later sweep by about 1 MiB
-    wb_rows, w_sq = np.empty((2, *w_all.shape))
-    np.multiply(w_all, problem.data_truth, out=wb_rows)
-    wb_rows -= problem.truth  # B = W g - f
-    b_sq = np.einsum("ij,ij->i", wb_rows, wb_rows)
-    wb_rows *= w_all
-    np.multiply(w_all, w_all, out=w_sq)
     # noise-free runs all see the exact data: score it once, copy to every run
     scored = 1 if config.noise_free else config.runs
     keys = None if config.noise_free else _run_keys(config.seed, sigmas.size, config.runs)
@@ -250,7 +245,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 eps = np.zeros((1, problem.n))
             else:
                 eps = standard_normals(keys[si, runs], problem.n)
-            err_sq[runs] = _block_errors(eps, sigma, b_sq[: mm + 1], wb_rows[: mm + 1], w_sq[: mm + 1])
+            err_sq[runs] = _block_errors(eps, sigma, thresholds)
             # y^2 = (g + sigma * eps)^2 in place, bit for bit
             eps *= sigma
             eps += problem.data_truth

@@ -15,7 +15,7 @@ that the runs' adjacent-pair distances already reject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,44 +30,40 @@ from .sequence_model import SpectralProblem, estimator_weights
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Pairwise tables of a grid, upper triangle (NaN elsewhere): thresholds
-    kappa, noise-free biases ||(W[m1] - W[m2]) g|| and variances
-    sigma^2 ||W[m1] - W[m2]||^2; tail budgets x_m = 2 (1+gamma)
-    log(v_{m+1}/v_0), the tuning constants and the noise level; and the
-    candidate weight table W[m] = q_{alpha_m}(lam) sqrt(lam), shape (k, n),
-    from which every pairwise quantity of the grid comes, the Monte Carlo
-    errors and distances included.  Everything is read-only, and W is held
-    as a view, so ``restrict`` copies no weights.  A table built by hand may
-    leave out the biases, variances, noise level and weights."""
+    """Every table a grid derives from its candidate weight table W[m] =
+    q_{alpha_m}(lam) sqrt(lam), shape (k, n).  Pairwise, upper triangle (NaN
+    elsewhere): thresholds kappa, noise-free biases ||(W[m1] - W[m2]) g|| and
+    variances sigma^2 ||W[m1] - W[m2]||^2.  Per candidate, for the squared
+    errors ||W[m] y - f||^2 (``harness._block_errors``), with B = W g - f: the
+    ||B_m||^2 (``b_sq``), W * B (``wb``) and W^2 (``w_sq``).  Also the tail
+    budgets x_m = 2 (1+gamma) log(v_{m+1}/v_0), the noise level and W itself
+    (``weights``).  Every array is held as a read-only view, so neither
+    building nor ``restrict`` copies a (k, n) table."""
 
     kappa: np.ndarray
     x: np.ndarray
-    beta: float
-    gamma: float
-    bias: np.ndarray | None = None
-    variance: np.ndarray | None = None
-    sigma: float = math.nan
-    weights: np.ndarray | None = None
+    bias: np.ndarray
+    variance: np.ndarray
+    sigma: float
+    weights: np.ndarray
+    b_sq: np.ndarray
+    wb: np.ndarray
+    w_sq: np.ndarray
 
     def __post_init__(self):
-        for name in ("kappa", "x", "bias", "variance"):
-            if getattr(self, name) is not None:
-                table = np.asarray(getattr(self, name), dtype=float).copy()
+        for item in fields(self):
+            if item.name != "sigma":
+                table = np.asarray(getattr(self, item.name), dtype=float).view()
                 table.flags.writeable = False
-                object.__setattr__(self, name, table)
-        if self.weights is not None:
-            weights = np.asarray(self.weights, dtype=float).view()
-            weights.flags.writeable = False
-            object.__setattr__(self, "weights", weights)
-        if self.kappa.ndim != 2 or self.kappa.shape[0] != self.kappa.shape[1]:
-            raise InvalidParameterError("kappa must be a square table")
-        if self.x.size != self.kappa.shape[0] - 1:
-            raise InvalidParameterError("x must have one entry per non-final index")
-        for table in (self.bias, self.variance):
-            if table is not None and table.shape != self.kappa.shape:
-                raise InvalidParameterError("bias and variance tables must have the shape of kappa")
-        if self.weights is not None and (self.weights.ndim != 2 or self.weights.shape[0] != self.kappa.shape[0]):
+                object.__setattr__(self, item.name, table)
+        if self.weights.ndim != 2:
             raise InvalidParameterError("weights must hold one row per candidate")
+        k, n = self.weights.shape
+        shapes = {"kappa": (k, k), "bias": (k, k), "variance": (k, k), "x": (k - 1,),
+                  "b_sq": (k,), "wb": (k, n), "w_sq": (k, n)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise InvalidParameterError(f"{name} must have shape {shape} for weights of shape {(k, n)}")
 
     @property
     def m_max(self) -> int:
@@ -76,21 +72,15 @@ class ThresholdTable:
     def restrict(self, grid: CandidateGrid) -> "ThresholdTable":
         """The tables of ``grid``, a prefix of the grid these were built for,
         at its own noise level: kappa is linear in sigma, the variances are
-        quadratic in it, and the biases and weights do not depend on it.  The
-        weights are a view of the first rows of this table's."""
+        quadratic in it, and they are rescaled; every other table does not
+        depend on sigma and is a view of this table's first rows."""
         k = grid.alphas.size
-        if self.bias is None or self.variance is None or self.weights is None or k > self.kappa.shape[0]:
-            raise InvalidParameterError("only a built table restricts to a prefix grid")
+        if k > self.kappa.shape[0]:
+            raise InvalidParameterError("a table restricts only to a prefix of its own grid")
         scale = grid.sigma / self.sigma
-        return replace(
-            self,
-            kappa=scale * self.kappa[:k, :k],
-            x=self.x[: k - 1],
-            bias=self.bias[:k, :k],
-            variance=scale**2 * self.variance[:k, :k],
-            sigma=grid.sigma,
-            weights=self.weights[:k],
-        )
+        return replace(self, kappa=scale * self.kappa[:k, :k], variance=scale**2 * self.variance[:k, :k],
+                       sigma=grid.sigma, x=self.x[: k - 1], bias=self.bias[:k, :k], weights=self.weights[:k],
+                       b_sq=self.b_sq[:k], wb=self.wb[:k], w_sq=self.w_sq[:k])
 
 
 def build_thresholds(
@@ -100,19 +90,20 @@ def build_thresholds(
     beta: float = 1.0,
     gamma: float = 1.0,
 ) -> ThresholdTable:
-    """Fill the upper-triangular pairwise tables of a grid.
+    """Build every table of a grid from its candidate weight table W.
 
-    Built from the candidate weight table W one row m1 at a time: with
-    d2 = (W[m1+1:] - W[m1])**2, the noise of the estimator difference is a
-    generalized chi-squared with weights d2, so
+    The pairwise tables come one row m1 at a time: with d2 = (W[m1+1:] -
+    W[m1])**2, the noise of the estimator difference is a generalized
+    chi-squared with weights d2, so
 
       variance[m1, m2] = sigma^2 sum d2,
       kappa[m1, m2] = sigma * sqrt(q_{e^-x_m1}(d2)) + beta * sqrt(variance),
       bias[m1, m2] = sqrt(d2 @ g^2),
 
     with g the exact data; kappa equals sigma * critical_value_z + beta *
-    sqrt(pairwise_variance_v).  W is kept in the table's ``weights``.  The
-    tables of every prefix of the grid follow by ``ThresholdTable.restrict``.
+    sqrt(pairwise_variance_v).  The error tables follow from B = W g - f, with
+    f the truth.  The tables of every prefix of the grid follow by
+    ``ThresholdTable.restrict``.
     """
     if not (0 < beta < math.inf and 0 < gamma < math.inf):
         raise InvalidParameterError("beta and gamma must be finite and positive")
@@ -128,7 +119,16 @@ def build_thresholds(
         variance[m1, m1 + 1 :] = sigma**2 * d2.sum(-1)
         kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(variance[m1, m1 + 1 :])
         bias[m1, m1 + 1 :] = np.sqrt(d2 @ g2)
-    return ThresholdTable(kappa, x, beta, gamma, bias, variance, sigma, w_rows)
+    # the (k, n) error tables in one allocation: as separate arrays they stayed
+    # on the malloc heap after a sweep and raised the peak RSS of a later sweep
+    # by about 1 MiB
+    wb, w_sq = np.empty((2, *w_rows.shape))
+    np.multiply(w_rows, problem.data_truth, out=wb)
+    wb -= problem.truth  # B = W g - f
+    b_sq = np.einsum("ij,ij->i", wb, wb)
+    wb *= w_rows
+    np.multiply(w_rows, w_rows, out=w_sq)
+    return ThresholdTable(kappa, x, bias, variance, sigma, w_rows, b_sq, wb, w_sq)
 
 
 def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarray:
@@ -144,13 +144,14 @@ def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarra
     return int(idx) if idx.ndim == 0 else idx
 
 
-def solit_select(bhat: np.ndarray, thresholds: ThresholdTable) -> int | np.ndarray:
+def solit_select(bhat: np.ndarray, kappa: np.ndarray) -> int | np.ndarray:
     """Smallest m1 whose estimator stays within threshold of every finer
-    candidate: max_{m2 > m1} (bhat_{m1,m2} - kappa_{m1,m2}) <= 0.  When no
+    candidate: max_{m2 > m1} (bhat_{m1,m2} - kappa_{m1,m2}) <= 0, with the
+    limits ``kappa`` a (k, k) table such as ``ThresholdTable.kappa``.  When no
     m1 < m_max qualifies the maximum over the empty set at m_max is vacuous,
     so m_max is returned.  ``bhat`` may be a stack (..., k, k) of tables, one
     per realization; the result then holds one index per table."""
-    return _first_accepted_row(bhat, thresholds.kappa)
+    return _first_accepted_row(bhat, kappa)
 
 
 def oracle_select(b: np.ndarray, v: np.ndarray, beta: float) -> int:

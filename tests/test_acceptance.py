@@ -244,9 +244,7 @@ def test_criterion_9_property_suites(sweeps, tmp_path):
         bhat += bhat.T
         kappa = np.zeros((m_max + 1, m_max + 1))
         kappa[iu] = rng.uniform(0, 1, iu[0].size)
-        from solit import ThresholdTable
-
-        got = solit_select(bhat, ThresholdTable(kappa=kappa, x=np.ones(m_max), beta=1.0, gamma=1.0))
+        got = solit_select(bhat, kappa)
         want = next(
             (
                 m1

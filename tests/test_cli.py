@@ -185,6 +185,7 @@ class TestErrors:
             ("candidates", "--problem", "heat", "--R", "2", "--sigma", "1e-3"),
             ("candidates", "--problem", "antiderivative", "--t-bar", "0.1", "--sigma", "1e-3"),
             ("simulate", "--seed", "-1"),
+            ("simulate", "--selectors", "solit,solit"),  # a selector named twice
             ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--points", "-1"),
@@ -239,11 +240,13 @@ class TestErrors:
         ({"n": "many"}, "option 'n' must be of type int, not 'many'"),
         ({"selectors": 5}, "option 'selectors' must be of type list of names, not 5"),
         ({"selectors": ["solit", 1]}, "option 'selectors' must be"),
+        ({"selectors": ["solit", "lepskii", "solit"]}, "repeated selectors: ['solit']"),
         ([1, 2], "must hold a JSON object, not [1, 2]"),
         ({"n": 2.7}, "option 'n' must be of type int, not 2.7"),
         ({"t_bar": "0.1", "problem": "heat"}, "option 't_bar' must be of type float, not '0.1'"),
     ],
-    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "list", "n-fraction", "t-bar-string"],
+    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "selectors-repeated", "list", "n-fraction",
+         "t-bar-string"],
 )
 def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -36,7 +36,6 @@ from solit.harness import (
     _run_keys,
 )
 from solit.selectors import (
-    ThresholdTable,
     lepskii_limits,
     lepskii_select,
     noise_level_select,
@@ -251,9 +250,12 @@ class TestRunExperiment:
             ExperimentConfig(**{**SMALL, "sigma_start": 1e-3, "sigma_stop": 1e-2})
 
 
-def full_tensor_distance_table(rows):
-    """Distance table through the full (k, k, n) difference tensor."""
-    diff = rows[:, None, :] - rows[None, :, :]
+def full_tensor_distance_table(w_rows, y):
+    """Distance table ||(W[m1] - W[m2]) * y|| through the full (k, k, n)
+    difference tensor.  The weight rows are subtracted before they meet the
+    data, as ``stream_select`` does, so rows that nearly agree do not cancel
+    in W[m1] * y - W[m2] * y."""
+    diff = (w_rows[:, None, :] - w_rows[None, :, :]) * y
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
@@ -288,12 +290,12 @@ def per_run_reference(config):
                 eps = np.random.Generator(np.random.Philox(run_seed(config.seed, si, r))).standard_normal(problem.n)
                 y = problem.data_truth + sigma * eps
             f_rows = w_rows * y
-            bhat = full_tensor_distance_table(f_rows)
+            bhat = full_tensor_distance_table(w_rows, y)
             diff = f_rows - problem.truth
             err_sq = np.einsum("ij,ij->i", diff, diff)
             for name in config.selectors:
                 if name == "solit":
-                    idx = solit_select(bhat, thresholds)
+                    idx = solit_select(bhat, thresholds.kappa)
                 elif name == "lepskii":
                     idx = lepskii_select(bhat, grid, sigma, config.kappa_tune)
                 elif name == "optimal":
@@ -319,7 +321,7 @@ class TestPairwiseDistanceTable:
             for n in (1, 7, 300):
                 rows = rng.standard_normal((k, n)) * rng.uniform(1e-6, 1e3, (k, 1))
                 assert np.array_equal(
-                    _pairwise_distance_table(rows), full_tensor_distance_table(rows)
+                    _pairwise_distance_table(rows), full_tensor_distance_table(rows, 1.0)
                 )
 
     @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
@@ -330,7 +332,7 @@ class TestPairwiseDistanceTable:
         w_rows = estimator_weights(problem, spec, grid.alphas)
         for rows in (w_rows, w_rows * problem.data_truth):
             assert np.array_equal(
-                _pairwise_distance_table(rows), full_tensor_distance_table(rows)
+                _pairwise_distance_table(rows), full_tensor_distance_table(rows, 1.0)
             )
 
     def test_single_row(self):
@@ -395,9 +397,7 @@ class TestBlockedRuns:
             grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
             w_rows = estimator_weights(problem, spec, grid.alphas)
             eps = np.random.default_rng(17).standard_normal((30, problem.n))
-            b_rows = w_rows * problem.data_truth - problem.truth
-            got = _block_errors(eps, sigma, np.einsum("ij,ij->i", b_rows, b_rows),
-                                w_rows * b_rows, w_rows**2)
+            got = _block_errors(eps, sigma, build_thresholds(problem, spec, grid))
             diff = w_rows * (problem.data_truth + sigma * eps)[:, None, :] - problem.truth
             want = np.einsum("bij,bij->bi", diff, diff)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -450,7 +450,7 @@ def stream_and_tables(w_rows, ys, limits):
     formed, and the block's full (runs, k, k) distance tables."""
     RowCounter.widths = []
     picks = stream_select((ys**2).view(RowCounter), w_rows, limits)
-    tables = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+    tables = np.stack([full_tensor_distance_table(w_rows, y) for y in ys])
     return picks, formed_rows(w_rows.shape[0]), tables
 
 
@@ -465,19 +465,22 @@ def row_tables(w_rows, y_sq):
     return tables
 
 
-def hand_table(kappa):
-    return ThresholdTable(kappa=kappa, x=np.ones(kappa.shape[0] - 1), beta=1.0, gamma=1.0)
-
-
 class TestStreamSelect:
     """The streaming pass gives the picks of the rules on the full tables."""
 
-    @pytest.mark.parametrize("k,n,runs", [(1, 5, 3), (2, 7, 4), (6, 30, 17), (12, 50, 40)])
-    def test_random_blocks(self, k, n, runs):
+    @pytest.mark.parametrize(
+        "k,n,runs,near_equal",
+        [(1, 5, 3, False), (2, 7, 4, False), (6, 30, 17, False), (12, 50, 40, False), (12, 50, 40, True)],
+        ids=["1-5-3", "2-7-4", "6-30-17", "12-50-40", "12-50-40-near-equal"],
+    )
+    def test_random_blocks(self, k, n, runs, near_equal):
         rng = np.random.default_rng(k * 100 + n)
         w_rows = rng.uniform(0, 1, (k, n))
+        if near_equal:
+            # every row within 1e-3 of row 0, where W[m1] * y - W[m2] * y would cancel
+            w_rows = w_rows[0] + 1e-3 * (w_rows - w_rows[0])
         ys = rng.standard_normal((runs, n))
-        probe = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+        probe = np.stack([full_tensor_distance_table(w_rows, y) for y in ys])
         # limits at the distances' median put picks all over the grid
         kappa = np.full((k, k), np.nan)
         iu = np.triu_indices(k, 1)
@@ -486,7 +489,7 @@ class TestStreamSelect:
                              theta1=1.5, theta2=5.0, sigma=0.5)
         lepskii = lepskii_limits(grid, 0.05)
         picks, _, tables = stream_and_tables(w_rows, ys, {"solit": kappa, "lepskii": lepskii})
-        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(kappa)))
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, kappa))
         np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, 0.05))
         if k > 2:
             assert len(set(picks["solit"].tolist())) > 1
@@ -503,7 +506,7 @@ class TestStreamSelect:
             ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(12)])
             limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, sigma, 1.5)}
             picks, _, tables = stream_and_tables(w_rows, ys, limits)
-            np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds))
+            np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds.kappa))
             np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma, 1.5))
 
     def test_every_run_accepting_at_row_0_stops_after_one_row(self):
@@ -515,7 +518,7 @@ class TestStreamSelect:
         assert rows == [0]
         np.testing.assert_array_equal(picks["solit"], np.zeros(6))
         np.testing.assert_array_equal(picks["lepskii"], np.zeros(6))
-        np.testing.assert_array_equal(solit_select(tables, hand_table(kappa)), np.zeros(6))
+        np.testing.assert_array_equal(solit_select(tables, kappa), np.zeros(6))
 
     def test_zero_limits_give_m_max(self):
         rng = np.random.default_rng(2)
@@ -526,7 +529,7 @@ class TestStreamSelect:
         assert rows == []  # every adjacent distance is over its zero limit
         np.testing.assert_array_equal(picks["solit"], np.full(5, 6))
         np.testing.assert_array_equal(picks["lepskii"], np.full(5, 6))
-        np.testing.assert_array_equal(solit_select(tables, hand_table(kappa)), np.full(5, 6))
+        np.testing.assert_array_equal(solit_select(tables, kappa), np.full(5, 6))
 
     def test_a_single_run_needing_the_last_row(self):
         rng = np.random.default_rng(3)
@@ -534,7 +537,7 @@ class TestStreamSelect:
         w_rows = rng.uniform(0, 1, (k, 20))
         ys = rng.uniform(1, 1.4, (6, 20)) * rng.choice([-1.0, 1.0], (6, 20))
         ys[4] = 10.0 * ys[0]  # its distances are 10 times those of run 0
-        probe = np.stack([full_tensor_distance_table(w_rows * y) for y in ys])
+        probe = np.stack([full_tensor_distance_table(w_rows, y) for y in ys])
         # every other run is within the limits at row 0; run 4 is outside them
         # on every row but the last
         kappa = np.max(np.delete(probe, 4, axis=0), axis=0)
@@ -544,7 +547,7 @@ class TestStreamSelect:
         # 4's adjacent distances are 10 times over their limits
         assert rows == [0, k - 2]
         np.testing.assert_array_equal(picks["solit"], [0, 0, 0, 0, k - 2, 0])
-        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(kappa)))
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, kappa))
 
     def test_one_rule_alone(self, small_heat):
         spec = FilterSpec("tikhonov")
@@ -557,7 +560,7 @@ class TestStreamSelect:
         solit_only, solit_rows, _ = stream_and_tables(w_rows, ys, {"solit": thresholds.kappa})
         lepskii_only, lepskii_rows, _ = stream_and_tables(w_rows, ys, {"lepskii": lepskii_limits(grid)})
         assert set(solit_only) == {"solit"} and set(lepskii_only) == {"lepskii"}
-        np.testing.assert_array_equal(solit_only["solit"], solit_select(tables, thresholds))
+        np.testing.assert_array_equal(solit_only["solit"], solit_select(tables, thresholds.kappa))
         np.testing.assert_array_equal(lepskii_only["lepskii"], lepskii_select(tables, grid))
         np.testing.assert_array_equal(solit_only["solit"], both["solit"])
         np.testing.assert_array_equal(lepskii_only["lepskii"], both["lepskii"])
@@ -601,7 +604,7 @@ class TestStreamScreen:
             # lepskii_select compares through _first_accepted_row as well
             lepskii = np.zeros(k)
             lepskii[m1 + 1] = limit
-            want = {"solit": solit_select(tables, hand_table(kappa)),
+            want = {"solit": solit_select(tables, kappa),
                     "lepskii": selectors._first_accepted_row(tables, lepskii)}
             np.testing.assert_array_equal(want["solit"], [m1 if value <= limit else k - 1])
             for limits in ({"solit": kappa, "lepskii": lepskii}, {"solit": kappa}, {"lepskii": lepskii}):
@@ -638,7 +641,7 @@ class TestStreamScreen:
                              theta1=1.5, theta2=5.0, sigma=1.0)
         sigma = scale * rng.uniform(0.3, 3.0) / (4.0 * np.sqrt(grid.v[-1]))
         picks = stream_select(ys**2, w_rows, {"solit": kappa, "lepskii": lepskii_limits(grid, sigma)})
-        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(kappa)))
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, kappa))
         np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma))
 
     @pytest.mark.parametrize("scale,bad", [(1e-157, None), (1e156, None), (1.0, np.nan), (1.0, np.inf)],
@@ -656,7 +659,7 @@ class TestStreamScreen:
         assert formed_rows(k) == list(range(k - 1))
         np.testing.assert_array_equal(picks["solit"], np.full(4, k - 1))
         tables = row_tables(w_rows, ys**2)
-        np.testing.assert_array_equal(picks["solit"], solit_select(tables, hand_table(np.zeros((k, k)))))
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, np.zeros((k, k))))
 
     def test_real_gradiometry_block_forms_fewer_rows_than_it_walks(self):
         problem = get_problem("gradiometry")
@@ -668,7 +671,7 @@ class TestStreamScreen:
         limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, sigma)}
         picks, rows, _ = stream_and_tables(thresholds.weights, ys, limits)
         tables = row_tables(thresholds.weights, ys**2)
-        np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds))
+        np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds.kappa))
         np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma))
         walked = min(max(p.max() for p in picks.values()) + 1, grid.m_max)
         assert len(rows) < walked / 2, (rows, walked)

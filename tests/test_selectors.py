@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from solit import (
     CandidateGrid,
     FilterSpec,
     InvalidParameterError,
-    ThresholdTable,
     build_grid,
     build_thresholds,
     critical_value_z,
@@ -119,12 +119,18 @@ class TestBuildThresholds:
         deep = build_thresholds(problem, spec, grids[-1])
         np.testing.assert_array_equal(deep.weights, estimator_weights(problem, spec, grids[-1].alphas))
         for grid in grids:
-            weights = deep.restrict(grid).weights
-            np.testing.assert_array_equal(weights, estimator_weights(problem, spec, grid.alphas))
-            assert np.shares_memory(weights, deep.weights)
-            assert not weights.flags.writeable
-            with pytest.raises(ValueError):
-                weights[0, 0] = 0.0
+            got = deep.restrict(grid)
+            ref = build_thresholds(problem, spec, grid)
+            np.testing.assert_array_equal(got.weights, estimator_weights(problem, spec, grid.alphas))
+            # W and the error tables do not depend on sigma: each is a view of
+            # the deepest table's first rows, with a per-sigma rebuild's bits
+            for field in ("weights", "b_sq", "wb", "w_sq"):
+                view = getattr(got, field)
+                assert view.tobytes() == getattr(ref, field).tobytes(), field
+                assert np.shares_memory(view, getattr(deep, field)), field
+                assert not view.flags.writeable, field
+                with pytest.raises(ValueError):
+                    view[0] = 0.0
 
     def test_restrict_needs_a_built_table_and_a_prefix(self, small_heat):
         spec = FilterSpec("tikhonov")
@@ -132,13 +138,9 @@ class TestBuildThresholds:
         tt = build_thresholds(small_heat, spec, small)
         with pytest.raises(InvalidParameterError):
             tt.restrict(large)
-        by_hand = ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0)
-        with pytest.raises(InvalidParameterError):
-            by_hand.restrict(small)
-        with pytest.raises(InvalidParameterError):
-            ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0, bias=tt.bias[1:, 1:])
-        with pytest.raises(InvalidParameterError):
-            ThresholdTable(kappa=tt.kappa, x=tt.x, beta=1.0, gamma=1.0, weights=tt.weights[1:])
+        for shape_change in ({"bias": tt.bias[1:, 1:]}, {"weights": tt.weights[1:]}, {"wb": tt.wb[:, 1:]}):
+            with pytest.raises(InvalidParameterError):
+                dataclasses.replace(tt, **shape_change)
 
     def test_budgets_positive_and_floor(self, small_heat):
         spec = FilterSpec("tikhonov")
@@ -178,22 +180,19 @@ class TestBuildThresholds:
 
 
 class TestSolitSelect:
-    def hand_thresholds(self, kappa, m_max):
-        return ThresholdTable(kappa=kappa, x=np.ones(m_max), beta=1.0, gamma=1.0)
-
     def test_all_distances_zero(self):
-        tt = self.hand_thresholds(table(2, {(0, 1): 0.4, (0, 2): 0.6, (1, 2): 0.2}), 2)
-        assert solit_select(np.zeros((3, 3)), tt) == 0
+        kappa = table(2, {(0, 1): 0.4, (0, 2): 0.6, (1, 2): 0.2})
+        assert solit_select(np.zeros((3, 3)), kappa) == 0
 
     def test_hand_enumerated_case(self):
         bhat = table(2, {(0, 1): 0.5, (0, 2): 0.7, (1, 2): 0.1})
         kappa = table(2, {(0, 1): 0.4, (0, 2): 0.6, (1, 2): 0.2})
-        assert solit_select(bhat, self.hand_thresholds(kappa, 2)) == 1
+        assert solit_select(bhat, kappa) == 1
 
     def test_vacuous_maximum_returns_last(self):
         bhat = table(2, {(0, 1): 9.0, (0, 2): 9.0, (1, 2): 9.0})
         kappa = table(2, {(0, 1): 0.1, (0, 2): 0.1, (1, 2): 0.1})
-        assert solit_select(bhat, self.hand_thresholds(kappa, 2)) == 2
+        assert solit_select(bhat, kappa) == 2
 
     def test_matches_reference_on_random_tables(self):
         rng = np.random.default_rng(7)
@@ -205,8 +204,7 @@ class TestSolitSelect:
             bhat[iu] = rng.uniform(0, 1, iu[0].size)
             bhat += bhat.T
             kappa[iu] = rng.uniform(0, 1, iu[0].size)
-            tt = self.hand_thresholds(kappa, m_max)
-            assert solit_select(bhat, tt) == solit_reference(bhat, kappa, m_max)
+            assert solit_select(bhat, kappa) == solit_reference(bhat, kappa, m_max)
 
     def test_raising_thresholds_never_raises_index(self):
         rng = np.random.default_rng(13)
@@ -220,8 +218,8 @@ class TestSolitSelect:
             kappa[iu] = rng.uniform(0, 1, iu[0].size)
             bigger = kappa.copy()
             bigger[iu] += rng.uniform(0, 1, iu[0].size)
-            m_small = solit_select(bhat, self.hand_thresholds(kappa, m_max))
-            m_big = solit_select(bhat, self.hand_thresholds(bigger, m_max))
+            m_small = solit_select(bhat, kappa)
+            m_big = solit_select(bhat, bigger)
             assert m_big <= m_small
 
 
@@ -245,16 +243,15 @@ class TestStackedSelectors:
     def test_stack_matches_per_matrix_calls(self, case):
         bhat, kappa, v = case
         m_max = kappa.shape[0] - 1
-        tt = ThresholdTable(kappa=kappa, x=np.ones(m_max), beta=1.0, gamma=1.0)
         grid = toy_grid(v, sigma=0.5)
-        solit = solit_select(bhat, tt)
+        solit = solit_select(bhat, kappa)
         lepskii = lepskii_select(bhat, grid, sigma=0.1)
         assert solit.shape == lepskii.shape == (bhat.shape[0],)
         for i, table_i in enumerate(bhat):
-            assert solit[i] == solit_select(table_i, tt) == solit_reference(table_i, kappa, m_max)
+            assert solit[i] == solit_select(table_i, kappa) == solit_reference(table_i, kappa, m_max)
             assert lepskii[i] == lepskii_select(table_i, grid, sigma=0.1)
             assert lepskii[i] == lepskii_reference(table_i, grid, 0.1, 1.0)
-        assert isinstance(solit_select(bhat[0], tt), int)
+        assert isinstance(solit_select(bhat[0], kappa), int)
         assert isinstance(lepskii_select(bhat[0], grid, sigma=0.1), int)
 
     def test_optimal_stack(self):
@@ -380,6 +377,6 @@ class TestDeterministicConsistency:
         spec = FilterSpec("tikhonov")
         grid = build_grid(problem, spec, sigma=1e-3, theta=2.0)
         tt = build_thresholds(problem, spec, grid, beta=1.0, gamma=1.0)
-        m_hat = solit_select(tt.bias, tt)  # noise-free distances equal the biases
+        m_hat = solit_select(tt.bias, tt.kappa)  # noise-free distances equal the biases
         m_star = oracle_select(tt.bias, tt.variance, beta=1.0)
         assert m_hat <= m_star
