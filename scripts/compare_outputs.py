@@ -6,18 +6,22 @@ OLD_SRC and NEW_SRC are directories holding the ``solit`` package (the
 ``src`` directory of a checkout).  Each tree runs the same fixed set of
 sweeps through its own ``run_experiment``, in its own interpreter with one
 BLAS thread.  For every sweep the script prints a digest of its
-selected-index histograms under each tree, how many histograms differ and
-the largest relative MSE difference; then the totals.  It also draws
+selected-index histograms under each tree, how many histograms differ, the
+largest relative MSE difference, how many cell values differ and how many
+grids differ; then the totals.  A cell's values are its noise level's
+m_star, R_mstar, C1, C2 and poa and each selector's stderr; its grid is the
+candidate alphas and variances v.  It also draws
 ``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
 pairs and compares them bit for bit, and runs ``solit reconstruct`` for a
 fixed set of cases under each tree and prints each tree's chosen candidate
 index.  NEW_SRC's sweeps run a second time in a child interpreter pinned to
 one CPU of its affinity set, so that they score their noise levels on the
-calling thread alone; their histograms and MSEs must equal those of the run
-on every CPU exactly.  It exits with status 1 when a histogram differs, an
-MSE moves by more than ``MSE_RTOL`` (1e-14 relative), a pair's draws differ,
-a reconstruct pick differs, or the single-CPU sweeps differ from NEW_SRC's
-sweeps on every CPU in any histogram or MSE.
+calling thread alone; their histograms, MSEs, cell values and grids must
+equal those of the run on every CPU exactly.  It exits with status 1 when a
+histogram differs, an MSE or a cell value moves by more than ``MSE_RTOL``
+(1e-14 relative), a grid differs in any bit, a pair's draws differ, a
+reconstruct pick differs, or the single-CPU sweeps differ from NEW_SRC's
+sweeps on every CPU in anything.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -47,6 +51,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,10 +120,11 @@ def label(cell: dict) -> str:
 
 def dump(one_cpu: bool) -> None:
     """Run every sweep and draw every pair with the solit on the path; print
-    the histograms and MSEs, one entry per sweep, the labelled draw digests
-    and the reconstruct picks as one JSON object.  With ``one_cpu`` the
-    process first pins itself to one CPU of its affinity set and runs the
-    sweeps only."""
+    the cells, one list per sweep, the labelled draw digests and the
+    reconstruct picks as one JSON object.  A cell holds each selector's
+    histogram, MSE and stderr, its other values and its grid.  With
+    ``one_cpu`` the process first pins itself to one CPU of its affinity set
+    and runs the sweeps only."""
     if one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import numpy as np
@@ -135,7 +141,9 @@ def dump(one_cpu: bool) -> None:
         cfg = ExperimentConfig(theta=2.0, beta=1.0, gamma=1.0, sigma_count=8, runs=RUNS, **cell)
         result = run_experiment(cfg)
         sweeps.append([
-            {name: [s.histogram.tolist(), s.mse] for name, s in c.selectors.items()}
+            {"selectors": {name: [s.histogram.tolist(), s.mse, s.stderr] for name, s in c.selectors.items()},
+             "values": [c.m_star, c.r_mstar, c.c1, c.c2, c.poa],
+             "grid": [c.grid.alphas.tolist(), c.grid.v.tolist()]}
             for c in result.cells
         ])
     if one_cpu:
@@ -163,9 +171,9 @@ def start(src: str, one_cpu: bool = False) -> subprocess.Popen:
 def digest(sweep: list[dict]) -> str:
     h = hashlib.sha256()
     for cell in sweep:
-        for name in sorted(cell):
+        for name in sorted(cell["selectors"]):
             h.update(name.encode())
-            h.update(json.dumps(cell[name][0]).encode())
+            h.update(json.dumps(cell["selectors"][name][0]).encode())
     return h.hexdigest()[:12]
 
 
@@ -174,33 +182,53 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-def sweep_differences(a: list, b: list) -> tuple[int, int, float]:
-    """(histograms, differing, worst MSE relative difference) of one sweep
-    run twice."""
-    n_hist = n_diff = 0
-    worst = 0.0
+# the counts of sweep_differences; "worst MSE" is the largest relative MSE difference
+COUNTS = ("histograms", "histograms differing", "worst MSE", "cell values", "cell values differing",
+          "grids", "grids differing")
+
+
+def sweep_differences(a: list, b: list, rtol: float) -> dict:
+    """The COUNTS of one sweep run twice.  A cell value differs when it
+    moves by more than ``rtol`` relative, a grid when any bit moves."""
+    out = dict.fromkeys(COUNTS, 0)
     for ca, cb in zip(a, b):
-        for name in ca:
-            n_hist += 1
-            n_diff += ca[name][0] != cb[name][0]
-            worst = max(worst, rel_diff(ca[name][1], cb[name][1]))
-    return n_hist, n_diff, worst
+        names = sorted(ca["selectors"])
+        values_a = ca["values"] + [ca["selectors"][name][2] for name in names]
+        values_b = cb["values"] + [cb["selectors"][name][2] for name in names]
+        out["cell values"] += len(values_a)
+        out["cell values differing"] += sum(not math.isclose(x, y, rel_tol=rtol) for x, y in zip(values_a, values_b))
+        out["grids"] += 1
+        out["grids differing"] += ca["grid"] != cb["grid"]
+        for name in names:
+            out["histograms"] += 1
+            out["histograms differing"] += ca["selectors"][name][0] != cb["selectors"][name][0]
+            out["worst MSE"] = max(out["worst MSE"], rel_diff(ca["selectors"][name][1], cb["selectors"][name][1]))
+    return out
 
 
-def compare(old: list, new: list) -> tuple[int, int, float]:
-    """Print one line per sweep; return (histograms, differing, worst MSE
-    relative difference)."""
-    total = differ = 0
-    worst = 0.0
+def totals(per_sweep: list[dict]) -> dict:
+    out = {key: sum(d[key] for d in per_sweep) for key in COUNTS}
+    out["worst MSE"] = max(d["worst MSE"] for d in per_sweep)
+    return out
+
+
+def differs(counts: dict, mse_rtol: float) -> bool:
+    return bool(counts["histograms differing"] or counts["worst MSE"] > mse_rtol
+                or counts["cell values differing"] or counts["grids differing"])
+
+
+def compare(old: list, new: list) -> dict:
+    """Print one line per sweep; return the totals of its COUNTS."""
+    per_sweep = []
     width = max(len(label(cell)) for cell in cells())
-    print(f"{'sweep':{width}} {'old':12} {'new':12} {'differ':>8} {'worst MSE rel':>14}")
+    print(f"{'sweep':{width}} {'old':12} {'new':12} {'differ':>8} {'worst MSE rel':>14} {'values':>8} {'grids':>6}")
     for cell, a, b in zip(cells(), old, new):
-        n_hist, n_diff, sweep_worst = sweep_differences(a, b)
-        print(f"{label(cell):{width}} {digest(a):12} {digest(b):12} {f'{n_diff}/{n_hist}':>8} {sweep_worst:14.2e}")
-        total += n_hist
-        differ += n_diff
-        worst = max(worst, sweep_worst)
-    return total, differ, worst
+        d = sweep_differences(a, b, MSE_RTOL)
+        hists = f"{d['histograms differing']}/{d['histograms']}"
+        print(f"{label(cell):{width}} {digest(a):12} {digest(b):12} {hists:>8} {d['worst MSE']:14.2e} "
+              f"{d['cell values differing']:>8} {d['grids differing']:>6}")
+        per_sweep.append(d)
+    return totals(per_sweep)
 
 
 def main(argv=None) -> int:
@@ -224,10 +252,8 @@ def main(argv=None) -> int:
         print("compare_outputs: a sweep run failed", file=sys.stderr)
         return 2
     old, new, one_cpu = (json.loads(text) for text in outputs)
-    total, differ, worst = compare(old["sweeps"], new["sweeps"])
-    single = [sweep_differences(a, b) for a, b in zip(new["sweeps"], one_cpu["sweeps"])]
-    single_differ = sum(n_diff for _, n_diff, _ in single)
-    single_worst = max(sweep_worst for _, _, sweep_worst in single)
+    counts = compare(old["sweeps"], new["sweeps"])
+    single = totals([sweep_differences(a, b, 0.0) for a, b in zip(new["sweeps"], one_cpu["sweeps"])])
     draws_differ = [key for (key, a), (_, b) in zip(old["draws"], new["draws"]) if a != b]
     for key in draws_differ:
         print(f"draws differ: {key}")
@@ -236,14 +262,15 @@ def main(argv=None) -> int:
         name = "{}/{}/sigma={}/seed={}".format(*case)
         print(f"{name:36} {a:4d} {b:4d}{'  differs' if a != b else ''}")
     picks_differ = sum(a != b for a, b in zip(old["picks"], new["picks"]))
-    print(f"histograms differing: {differ} of {total}")
-    print(f"worst relative MSE difference: {worst:.2e}")
+    for prefix, c in (("", counts), ("single-CPU ", single)):
+        print(f"{prefix}histograms differing: {c['histograms differing']} of {c['histograms']}")
+        print(f"{prefix}worst relative MSE difference: {c['worst MSE']:.2e}")
+        print(f"{prefix}cell values differing: {c['cell values differing']} of {c['cell values']}")
+        print(f"{prefix}grids differing: {c['grids differing']} of {c['grids']}")
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
     print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")
-    print(f"single-CPU histograms differing: {single_differ} of {total}")
-    print(f"single-CPU worst relative MSE difference: {single_worst:.2e}")
-    single_moved = single_differ or single_worst > 0.0
-    return 1 if differ or worst > MSE_RTOL or draws_differ or picks_differ or single_moved else 0
+    moved = differs(counts, MSE_RTOL) or differs(single, 0.0)
+    return 1 if moved or draws_differ or picks_differ else 0
 
 
 if __name__ == "__main__":

@@ -68,15 +68,14 @@ def line_search_variance(
 ):
     """Solve V(alpha) = target for alpha inside ``bracket`` = (alpha_lo, alpha_hi).
 
-    Returns ``(alpha, gap)`` with ``gap = log(V(alpha)) - log(target)``.  For
-    filters with continuous V the bisection terminates with |gap| <= tol
-    whenever the target lies between V(alpha_hi) and V(alpha_lo).  For the
-    spectral cut-off the candidates are the eigenvalues inside the bracket,
-    V(lam_j) is read off the cumulative sum of 1/lam over the spectrum, and
-    the largest candidate whose V meets or exceeds the target is returned
-    (smallest achievable overshoot).  Targets outside the attainable range
-    clamp to the corresponding bracket end, with the signed gap reporting the
-    miss.
+    Returns ``(alpha, V(alpha))``, V as ``variance_V`` gives it.  For filters
+    with continuous V the bisection terminates with |log(V(alpha) / target)|
+    <= tol whenever the target lies between V(alpha_hi) and V(alpha_lo).  For
+    the spectral cut-off the candidates are the eigenvalues inside the
+    bracket, V(lam_j) is read off the cumulative sum of 1/lam over the
+    spectrum, and the largest candidate whose V meets or exceeds the target
+    is returned (smallest achievable overshoot).  Targets outside the
+    attainable range clamp to the corresponding bracket end.
     """
     if target <= 0:
         raise InvalidParameterError("target variance must be positive")
@@ -98,38 +97,35 @@ def line_search_variance(
         prefix = np.searchsorted(-lams, -cands, side="right")
         vals = np.cumsum(lams * q * q)[prefix - 1]
         gaps = np.log(vals) - log_target
-        within = np.abs(gaps) <= tol
-        if np.any(within):
+        if np.any(np.abs(gaps) <= tol):
             idx = int(np.argmin(np.abs(gaps)))
-            return float(cands[idx]), float(gaps[idx])
-        above = gaps >= 0
-        if np.any(above):
-            idx = int(np.argmax(above))  # largest alpha with V >= target
-            return float(cands[idx]), float(gaps[idx])
-        return float(cands[-1]), float(gaps[-1])
+        elif np.any(gaps >= 0):
+            idx = int(np.argmax(gaps >= 0))  # largest alpha with V >= target
+        else:
+            idx = -1
+        alpha = float(cands[idx])
+        return alpha, variance_V(problem, spec, alpha)
 
     lo, hi = a_lo, a_hi
     v_lo = variance_V(problem, spec, lo)
     v_hi = variance_V(problem, spec, hi)
     if target > v_lo:
-        return float(lo), math.log(v_lo) - log_target
+        return float(lo), v_lo
     if target < v_hi:
-        return float(hi), math.log(v_hi) - log_target
+        return float(hi), v_hi
     for _ in range(_MAX_BISECTION_STEPS):
         mid = math.sqrt(lo * hi)
         v_mid = variance_V(problem, spec, mid)
         if v_mid <= 0:
             hi = mid
             continue
-        gap = math.log(v_mid) - log_target
-        if abs(gap) <= tol:
-            return float(mid), float(gap)
+        if abs(math.log(v_mid) - log_target) <= tol:
+            return float(mid), v_mid
         if v_mid > target:
             lo = mid
         else:
             hi = mid
-    v_lo = variance_V(problem, spec, lo)
-    return float(lo), math.log(v_lo) - log_target
+    return float(lo), variance_V(problem, spec, lo)
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,9 @@ def build_grid(
     a_ceil = max(float(lam[0]), math.sqrt(float(np.sum(lam)))) * 2.0
     v_cap = variance_V(problem, spec, a_floor)
 
-    alpha0, _ = line_search_variance(problem, spec, 1.0, tol, (a_floor, a_ceil))
+    alpha0, v0 = line_search_variance(problem, spec, 1.0, tol, (a_floor, a_ceil))
     alphas = [alpha0]
-    big_v = [variance_V(problem, spec, alpha0)]
+    big_v = [v0]
     # theta2s[m]: the ratio bound of the grid ending at m (enlarged past theta2_req
     # when the spectrum forces an overshoot)
     theta2s = [theta2_req]
@@ -256,10 +252,7 @@ def build_grid(
                 f"above the largest attainable V = {v_cap:.3g}; "
                 "increase the truncation dimension or the noise level"
             )
-        alpha_next, _ = line_search_variance(
-            problem, spec, target, tol, (a_floor, alphas[-1])
-        )
-        v_next = variance_V(problem, spec, alpha_next)
+        alpha_next, v_next = line_search_variance(problem, spec, target, tol, (a_floor, alphas[-1]))
         ratio = v_next / big_v[-1]
         if ratio < theta1 or alpha_next >= alphas[-1]:
             raise ConfigurationError(

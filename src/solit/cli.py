@@ -157,9 +157,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_rates(args: argparse.Namespace) -> int:
     result = read_results(args.results_dir)
     sigmas = [cell.sigma for cell in result.cells]
-    for name in result.config.selectors:
-        mses = [cell.selectors[name].mse for cell in result.cells]
-        slope, intercept = fit_rate(sigmas, mses, args.model)
+    # every fit before any output, so a bad value leaves only the error line
+    fits = {name: fit_rate(sigmas, [cell.selectors[name].mse for cell in result.cells], args.model)
+            for name in result.config.selectors}
+    for name, (slope, intercept) in fits.items():
         print(f"{name} slope={slope:.6g} intercept={intercept:.6g}")
     return 0
 

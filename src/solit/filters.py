@@ -53,20 +53,14 @@ class FilterSpec:
                 )
 
     @classmethod
-    def from_name(cls, name: str, landweber_step: float | None = None) -> "FilterSpec":
-        """Build a spec from a CLI/config name string."""
-        name = name.strip().lower()
-        if name == "landweber":
-            return cls(kind="landweber", landweber_step=landweber_step)
-        return cls(kind=name)
-
-    @classmethod
     def for_spectrum(cls, name: str, lam, landweber_step: float | None = None) -> "FilterSpec":
-        """Spec of filter ``name`` on the spectrum ``lam``; the Landweber step
-        defaults to 1/lam_max, the largest step with step * lam <= 1."""
-        if name.strip().lower() == "landweber" and landweber_step is None:
+        """Spec of the filter a CLI/config string names, on the spectrum
+        ``lam``.  The Landweber step defaults to 1/lam_max, the largest step
+        with step * lam <= 1; the other filters take no step."""
+        name = name.strip().lower()
+        if name == "landweber" and landweber_step is None:
             landweber_step = 1.0 / float(np.max(lam))
-        return cls.from_name(name, landweber_step=landweber_step)
+        return cls(kind=name, landweber_step=landweber_step if name == "landweber" else None)
 
 
 def filter_weight(spec: FilterSpec, alpha: float, lam):

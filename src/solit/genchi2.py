@@ -48,13 +48,14 @@ def _weights_array(w, max_ndim: int = 1) -> tuple:
 
 
 def _power_sums(a: np.ndarray) -> tuple:
-    a2 = a * a  # products, not a**3 and a**4: the generic power is far slower
-    return tuple(np.sum(b, axis=-1) for b in (a, a2, a2 * a, a2 * a2))
+    a2 = a * a  # products, not a**3: the generic power is far slower
+    return tuple(np.sum(b, axis=-1) for b in (a, a2, a2 * a))
 
 
 def cumulant_traces(w) -> tuple:
-    """Power sums (sum a, sum a^2, sum a^3, sum a^4) of the weights: floats
-    for one vector, arrays with one entry per row for a stack (r, n)."""
+    """Power sums (sum a, sum a^2, sum a^3) of the weights, all that the
+    central chi-squared match reads: floats for one vector, arrays with one
+    entry per row for a stack (r, n)."""
     a, _ = _weights_array(w, max_ndim=2)
     sums = _power_sums(a)
     return tuple(float(s) for s in sums) if a.ndim == 1 else sums
@@ -103,7 +104,7 @@ def ltz_tail_sf(cumulants, t: float) -> float:
     the exact inverse of ``ltz_tail_quantile``.  Raises when c2 <= 0 or
     c3 <= 0 (no skewness to match).
     """
-    c1, c2, c3, _ = (float(c) for c in cumulants)
+    c1, c2, c3 = (float(c) for c in cumulants)
     if not c2 > 0:
         raise InvalidParameterError("second cumulant trace must be positive")
     if not c3 > 0:
@@ -118,7 +119,7 @@ def ltz_tail_quantile(cumulants, p):
 
     Nonnegative weights give c3^2 <= c2 c4, i.e. s1^2 <= s2, so the matched
     distribution is the central chi-squared with l = c2^3 / c3^2 degrees of
-    freedom (Liu, Tang & Zhang 2009), and
+    freedom (Liu, Tang & Zhang 2009), whatever c4, and
 
       t = c1 + (c3 / c2) (chdtri(l, p) - l).
 
@@ -129,7 +130,7 @@ def ltz_tail_quantile(cumulants, p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise InvalidParameterError("tail probability must lie strictly in (0, 1)")
-    c1, c2, c3, _ = (np.asarray(c, dtype=float) for c in cumulants)
+    c1, c2, c3 = (np.asarray(c, dtype=float) for c in cumulants)
     if np.any(c2 <= 0):
         raise InvalidParameterError("second cumulant trace must be positive")
     if np.any(c3 <= 0):
@@ -147,7 +148,7 @@ def ltz_quantile_for_weights(w, p: float):
     ``w`` is one weight vector (the result is a float) or a stack (r, n) of
     them (the result holds one quantile per row).  Works on the normalized
     weight scale internally (quantiles are scale-equivariant), which keeps
-    the fourth power sum inside float64 range for strongly amplifying weight
+    the third power sum inside float64 range for strongly amplifying weight
     vectors.  An all-zero vector has quantile 0.
     """
     a, amax = _weights_array(w, max_ndim=2)

@@ -7,12 +7,12 @@ table W once on the deepest grid and every table that comes from it, in one
 ``ThresholdTable``: one pass over its candidate pairs for the thresholds, the
 noise-free biases and the variances, and the per-candidate tables of the
 squared errors.  Every noise level takes a prefix of that grid and, through
-``ThresholdTable.restrict``, of those tables: the thresholds scaled by sigma,
-the variances by sigma^2, and a read-only view of the first rows of every
-other table; from them come the oracle index and the oracle-inequality
-constants.  The runner then replays
-seeded realizations in blocks of runs.  Run r at noise level si draws the
-stream of ``np.random.Philox(seed)`` with seed
+``ThresholdTable.restrict``, of those tables at its own sigma: the
+thresholds scaled by sigma, the variances by sigma^2, and a read-only view of
+the first rows of every other table.  The oracle index and constants, the
+Lepskii limits and the squared errors read sigma from that grid and table.
+The runner then replays seeded realizations in blocks of runs.  Run r at
+noise level si draws the stream of ``np.random.Philox(seed)`` with seed
 ``SeedSequence((master, si, r)).generate_state(1, uint64)``; Philox is keyed
 and counter-based, so the keys of every run of the sweep are computed in one
 vectorized pass (``sequence_model.seed_state``) and each block fills its
@@ -20,7 +20,7 @@ noise rows from one rekeyed generator.  The data are bit-identical to
 per-run ``simulate_data`` draws, however the runs are blocked.  Per block the
 runner evaluates every candidate's squared error from y = g + sigma * eps
 through two matrix products against the restricted error tables
-(``_block_errors``).  The solit and Lepskii picks then come from one
+(``ThresholdTable.errors``).  The solit and Lepskii picks then come from one
 streaming pass (``selectors.stream_select``): it walks the candidate rows m1
 upward, forms one row of empirical distances for the whole block (squared
 weight differences against squared data, one matrix product), gives each run
@@ -60,7 +60,6 @@ from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
 from .parallel import cpu_count, map_on_cpus
 from .selectors import (
-    ThresholdTable,
     build_thresholds,
     lepskii_limits,
     noise_level_select,
@@ -189,19 +188,6 @@ def _pairwise_distance_table(rows: np.ndarray) -> np.ndarray:
     return table + table.T
 
 
-def _block_errors(eps: np.ndarray, sigma: float, thresholds: ThresholdTable) -> np.ndarray:
-    """Squared errors ||W[m] * y_b - f||^2 of a block of realizations
-    y_b = g + sigma * eps_b, shape (block, k).
-
-    With B = W * g - f the error is ||B_m||^2 + 2 sigma eps_b . (W_m B_m) +
-    sigma^2 eps_b^2 . W_m^2: two GEMMs against the tables of ``thresholds``,
-    ``b_sq`` (the ||B_m||^2), ``wb`` (W * B) and ``w_sq`` (W^2), with no
-    (block, k, n) tensor.  Each term is of the order of the error itself, so
-    this is not a Gram-type cancellation.
-    """
-    return thresholds.b_sq + 2.0 * sigma * (eps @ thresholds.wb.T) + sigma**2 * (eps**2 @ thresholds.w_sq.T)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full Monte Carlo sweep described by ``config``."""
     problem = get_problem(config.problem, **config.problem_params)
@@ -218,8 +204,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def score_cell(si: int) -> SigmaCell:
         """The cell of noise level si; it writes only arrays of its own."""
-        sigma, grid = float(sigmas[si]), grids[si]
-        thresholds = tables.restrict(grid)
+        grid = grids[si]
+        sigma, thresholds = grid.sigma, tables.restrict(grid)
         mm = grid.m_max
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         u_star = weak_variance_u(problem, spec, grid.alphas[m_star], sigma)
@@ -233,7 +219,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if "solit" in config.selectors:
             limits["solit"] = thresholds.kappa
         if "lepskii" in config.selectors:
-            limits["lepskii"] = lepskii_limits(grid, sigma, config.kappa_tune)
+            limits["lepskii"] = lepskii_limits(grid, config.kappa_tune)
 
         err_sq = np.empty((scored, mm + 1))
         # the oracle and noise-level picks hold for every run; the others are set per block
@@ -245,7 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 eps = np.zeros((1, problem.n))
             else:
                 eps = standard_normals(keys[si, runs], problem.n)
-            err_sq[runs] = _block_errors(eps, sigma, thresholds)
+            err_sq[runs] = thresholds.errors(eps)
             # y^2 = (g + sigma * eps)^2 in place, bit for bit
             eps *= sigma
             eps += problem.data_truth
@@ -276,13 +262,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def fit_rate(sigmas, mses, model: str) -> tuple[float, float]:
     """Least-squares slope and intercept of log MSE against log sigma
-    ("poly") or against log(-log sigma) ("log")."""
+    ("poly") or against log(-log sigma) ("log"); the sigmas and MSEs must be
+    positive and finite."""
     s = np.asarray(sigmas, dtype=float)
     m = np.asarray(mses, dtype=float)
     if s.size != m.size or s.size < 3:
         raise InvalidParameterError("rate fits need at least 3 matching points")
-    if np.any(s <= 0) or np.any(m <= 0):
-        raise InvalidParameterError("rate fits need positive sigmas and MSEs")
+    if not np.all((0 < s) & (s < math.inf) & (0 < m) & (m < math.inf)):
+        raise InvalidParameterError("rate fits need positive, finite sigmas and MSEs")
     if model == "poly":
         x = np.log(s)
     elif model == "log":

@@ -34,9 +34,9 @@ class ThresholdTable:
     q_{alpha_m}(lam) sqrt(lam), shape (k, n).  Pairwise, upper triangle (NaN
     elsewhere): thresholds kappa, noise-free biases ||(W[m1] - W[m2]) g|| and
     variances sigma^2 ||W[m1] - W[m2]||^2.  Per candidate, for the squared
-    errors ||W[m] y - f||^2 (``harness._block_errors``), with B = W g - f: the
-    ||B_m||^2 (``b_sq``), W * B (``wb``) and W^2 (``w_sq``).  Also the tail
-    budgets x_m = 2 (1+gamma) log(v_{m+1}/v_0), the noise level and W itself
+    errors ||W[m] y - f||^2 (``errors``), with B = W g - f: the ||B_m||^2
+    (``b_sq``), W * B (``wb``) and W^2 (``w_sq``).  Also the tail budgets x_m
+    = 2 (1+gamma) log(v_{m+1}/v_0), the noise level sigma and W itself
     (``weights``).  Every array is held as a read-only view, so neither
     building nor ``restrict`` copies a (k, n) table."""
 
@@ -81,6 +81,14 @@ class ThresholdTable:
         return replace(self, kappa=scale * self.kappa[:k, :k], variance=scale**2 * self.variance[:k, :k],
                        sigma=grid.sigma, x=self.x[: k - 1], bias=self.bias[:k, :k], weights=self.weights[:k],
                        b_sq=self.b_sq[:k], wb=self.wb[:k], w_sq=self.w_sq[:k])
+
+    def errors(self, eps: np.ndarray) -> np.ndarray:
+        """Squared errors ||W[m] y_b - f||^2, shape (block, k), of realizations
+        y_b = g + sigma eps_b at this table's sigma.  With B = W g - f they are
+        ||B_m||^2 + 2 sigma eps_b . (W_m B_m) + sigma^2 eps_b^2 . W_m^2: two
+        GEMMs, no (block, k, n) tensor, and each term is of the order of the
+        error, so no Gram-type cancellation."""
+        return self.b_sq + 2.0 * self.sigma * (eps @ self.wb.T) + self.sigma**2 * (eps**2 @ self.w_sq.T)
 
 
 def build_thresholds(
@@ -167,30 +175,22 @@ def oracle_select(b: np.ndarray, v: np.ndarray, beta: float) -> int:
     return int(failing.max()) + 1 if failing.size else 0
 
 
-def lepskii_select(
-    bhat: np.ndarray,
-    grid: CandidateGrid,
-    sigma: float | None = None,
-    kappa_tune: float = 1.0,
-) -> int | np.ndarray:
+def lepskii_select(bhat: np.ndarray, grid: CandidateGrid, kappa_tune: float = 1.0) -> int | np.ndarray:
     """Classical balancing rule: smallest m1 with
     bhat_{m1,m2} <= 4 * kappa_tune * mu_{m2} for all m2 > m1, where
-    mu_k = sigma * sqrt(V(alpha_k)).  ``bhat`` may be a stack (..., k, k) of
-    tables; the result then holds one index per table."""
-    return _first_accepted_row(bhat, lepskii_limits(grid, sigma, kappa_tune))
+    mu_k = sigma * sqrt(V(alpha_k)) at the grid's noise level.  ``bhat`` may
+    be a stack (..., k, k) of tables; the result then holds one index per
+    table."""
+    return _first_accepted_row(bhat, lepskii_limits(grid, kappa_tune))
 
 
-def lepskii_limits(
-    grid: CandidateGrid, sigma: float | None = None, kappa_tune: float = 1.0
-) -> np.ndarray:
+def lepskii_limits(grid: CandidateGrid, kappa_tune: float = 1.0) -> np.ndarray:
     """The balancing rule's limits 4 * kappa_tune * mu_{m2}, one per candidate,
-    with mu_k = sigma * sqrt(V(alpha_k)) (sigma defaults to the grid's)."""
+    with mu_k = sigma * sqrt(V(alpha_k)) = sqrt(v_k) at the grid's noise
+    level."""
     if not 1 <= kappa_tune < math.inf:
         raise InvalidParameterError("kappa_tune must be finite and at least 1")
-    mu = np.sqrt(grid.v)
-    if sigma is not None and sigma != grid.sigma:
-        mu = mu * (sigma / grid.sigma)
-    return 4.0 * kappa_tune * mu
+    return 4.0 * kappa_tune * np.sqrt(grid.v)
 
 
 def stream_select(

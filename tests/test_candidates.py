@@ -71,31 +71,45 @@ class TestLineSearch:
     def test_continuum_hits_tolerance(self):
         p = synthetic_problem(np.geomspace(1.0, 1e-4, 50), np.zeros(50))
         for target in (0.5, 3.0, 40.0):
-            alpha, gap = line_search_variance(p, TIKH, target, tol=1e-6, bracket=(1e-4, 10.0))
-            assert abs(gap) <= 1e-6
+            alpha, v = line_search_variance(p, TIKH, target, tol=1e-6, bracket=(1e-4, 10.0))
+            assert abs(math.log(v) - math.log(target)) <= 1e-6
             assert variance_V(p, TIKH, alpha) == pytest.approx(target, rel=1e-5)
 
     def test_discrete_overshoot(self):
         # V jumps 1 -> 5 across the second eigenvalue; target 3 lands on the
         # jump, so the eigenvalue whose V first exceeds the target is returned
-        alpha, gap = line_search_variance(TWO_MODE, CUTOFF, 3.0, tol=0.01, bracket=(0.1, 1.5))
+        alpha, v = line_search_variance(TWO_MODE, CUTOFF, 3.0, tol=0.01, bracket=(0.1, 1.5))
         assert alpha == 0.25
-        assert gap == pytest.approx(math.log(5.0 / 3.0), rel=1e-12)
+        assert v == pytest.approx(5.0, rel=1e-12)
 
     def test_target_beyond_reach_clamps(self):
         # more variance than the bracket can provide: lower end returned
-        alpha, gap = line_search_variance(TWO_MODE, TIKH, 1e9, tol=0.01, bracket=(0.05, 1.0))
+        alpha, v = line_search_variance(TWO_MODE, TIKH, 1e9, tol=0.01, bracket=(0.05, 1.0))
         assert alpha == 0.05
-        assert gap < 0
+        assert v < 1e9
 
     def test_target_below_reach_clamps(self):
-        alpha, gap = line_search_variance(TWO_MODE, TIKH, 1e-9, tol=0.01, bracket=(0.05, 1.0))
+        alpha, v = line_search_variance(TWO_MODE, TIKH, 1e-9, tol=0.01, bracket=(0.05, 1.0))
         assert alpha == 1.0
-        assert gap > 0
+        assert v > 1e-9
 
     def test_empty_discrete_bracket(self):
         with pytest.raises(InvalidParameterError):
             line_search_variance(TWO_MODE, CUTOFF, 2.0, tol=0.01, bracket=(0.26, 0.9))
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff", "landweber"])
+    def test_returned_v_is_variance_V_bit_for_bit(self, kind, small_heat, monkeypatch):
+        spec = FilterSpec.for_spectrum(kind, small_heat.eigenvalues)
+        bracket = (float(small_heat.eigenvalues[-1]), float(small_heat.eigenvalues[0]))
+        v_lo, v_hi = (variance_V(small_heat, spec, a) for a in bracket)
+        # a hit (for the cut-off the closest jump) and both clamps
+        for target in (math.sqrt(v_lo * v_hi), 2.0 * v_lo, 0.5 * v_hi):
+            alpha, v = line_search_variance(small_heat, spec, target, 1e-3, bracket)
+            assert v == variance_V(small_heat, spec, alpha), target
+        # a bisection that runs out of steps before it meets the tolerance
+        monkeypatch.setattr(candidates, "_MAX_BISECTION_STEPS", 3)
+        alpha, v = line_search_variance(small_heat, spec, math.sqrt(v_lo * v_hi), 1e-12, bracket)
+        assert v == variance_V(small_heat, spec, alpha)
 
 
 class TestBuildGrid:
@@ -190,7 +204,7 @@ class TestBuildGrid:
                 idx = int(np.argmax(gaps >= 0))
             else:
                 idx = -1
-            return float(cands[idx]), float(gaps[idx])
+            return float(cands[idx]), variance_V(problem, spec, float(cands[idx]))
 
         problem = small_benchmarks[name]
         for sigma in (1e-2, 1e-3, 1e-4):

@@ -435,6 +435,7 @@ class TestIncompleteResults:
             (lambda d: _append_row(d / "selections.csv", ["0.01", "solit", "99", "1"]), "matches no histogram"),
             (lambda d: _set_cell(d / "results.csv", 3, "mse", "abc"),
              "results.csv line 3: column 'mse' holds 'abc', not a number"),
+            (lambda d: _set_cell(d / "results.csv", 3, "mse", "nan"), "rate fits need positive, finite sigmas and MSEs"),
             (lambda d: _set_cell(d / "results.csv", 2, "m_star", "1.5"),
              "results.csv line 2: column 'm_star' holds '1.5', not an integer"),
             (lambda d: _set_cell(d / "results.csv", 4, "sigma", ""),
@@ -459,7 +460,7 @@ class TestIncompleteResults:
              "grid entry 0: 'truncation_tail_ratio' holds 'small', not a number"),
         ],
         ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "unknown-selector",
-             "index-out-of-range", "results-mse", "results-m-star", "results-sigma", "selections-count",
+             "index-out-of-range", "results-mse", "results-mse-nan", "results-m-star", "results-sigma", "selections-count",
              "selections-index", "grid-alpha", "grid-v", "meta-theta1", "meta-sigma", "meta-theta2-bool",
              "meta-enlarged", "meta-tail-ratio"],
     )

@@ -116,8 +116,9 @@ class TestFilterSpec:
             FilterSpec("landweber")
 
     def test_from_name(self):
-        assert FilterSpec.from_name("cutoff").kind == "cutoff"
-        assert FilterSpec.from_name("landweber", landweber_step=0.5).landweber_step == 0.5
+        lam = np.array([1.0, 0.5])
+        assert FilterSpec.for_spectrum("cutoff", lam).kind == "cutoff"
+        assert FilterSpec.for_spectrum(" LandWeber ", lam, landweber_step=0.5) == FilterSpec("landweber", 0.5)
 
 
 class TestForSpectrum:

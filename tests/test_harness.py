@@ -19,6 +19,7 @@ from solit import (
     ExperimentConfig,
     FilterSpec,
     InvalidParameterError,
+    ThresholdTable,
     build_grid,
     build_thresholds,
     fit_rate,
@@ -31,7 +32,6 @@ from solit import (
 )
 from solit import candidates, harness, selectors
 from solit.harness import (
-    _block_errors,
     _pairwise_distance_table,
     _run_keys,
 )
@@ -75,6 +75,11 @@ class TestFitRate:
             fit_rate([0.1, 0.01, -1.0], [1.0, 2.0, 3.0], "poly")
         with pytest.raises(InvalidParameterError):
             fit_rate([0.1, 0.01, 0.001], [1.0, 2.0, 3.0], "cubic")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                fit_rate([0.1, 0.01, bad], [1.0, 2.0, 3.0], "poly")
+            with pytest.raises(InvalidParameterError):
+                fit_rate([0.1, 0.01, 0.001], [1.0, bad, 3.0], "log")
 
 
 class TestNonFiniteTuningRejected:
@@ -270,7 +275,7 @@ def per_run_reference(config):
     and one call of each selector per run.  Returns, per noise level, the
     selectors' MSEs, standard errors, histograms and R_{m*}."""
     problem = get_problem(config.problem, **config.problem_params)
-    spec = FilterSpec.from_name(config.filter_kind)
+    spec = FilterSpec.for_spectrum(config.filter_kind, problem.eigenvalues)
     cells = []
     for si, sigma in enumerate(config.sigma_grid()):
         sigma = float(sigma)
@@ -297,7 +302,7 @@ def per_run_reference(config):
                 if name == "solit":
                     idx = solit_select(bhat, thresholds.kappa)
                 elif name == "lepskii":
-                    idx = lepskii_select(bhat, grid, sigma, config.kappa_tune)
+                    idx = lepskii_select(bhat, grid, config.kappa_tune)
                 elif name == "optimal":
                     idx = optimal_select(err_sq)
                 else:
@@ -371,11 +376,13 @@ class TestBlockedRuns:
         problem = get_problem("heat", n=24)
         seen = []
 
-        def spy(eps, sigma, *tables):
-            seen.append((sigma, eps.copy()))
-            return _block_errors(eps, sigma, *tables)
+        errors = ThresholdTable.errors
 
-        monkeypatch.setattr(harness, "_block_errors", spy)
+        def spy(table, eps):
+            seen.append((table.sigma, eps.copy()))
+            return errors(table, eps)
+
+        monkeypatch.setattr(ThresholdTable, "errors", spy)
         monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 200)
         run_experiment(cfg)
         by_sigma = {}
@@ -397,7 +404,7 @@ class TestBlockedRuns:
             grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
             w_rows = estimator_weights(problem, spec, grid.alphas)
             eps = np.random.default_rng(17).standard_normal((30, problem.n))
-            got = _block_errors(eps, sigma, build_thresholds(problem, spec, grid))
+            got = build_thresholds(problem, spec, grid).errors(eps)
             diff = w_rows * (problem.data_truth + sigma * eps)[:, None, :] - problem.truth
             want = np.einsum("bij,bij->bi", diff, diff)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -485,12 +492,13 @@ class TestStreamSelect:
         kappa = np.full((k, k), np.nan)
         iu = np.triu_indices(k, 1)
         kappa[iu] = np.median(probe[:, iu[0], iu[1]], axis=0) * rng.uniform(0.8, 1.6, iu[0].size)
-        grid = CandidateGrid(alphas=np.geomspace(1.0, 1e-3, k), v=np.geomspace(1.0, 4.0**k, k),
-                             theta1=1.5, theta2=5.0, sigma=0.5)
-        lepskii = lepskii_limits(grid, 0.05)
+        # the grid of v = geomspace(1, 4^k) at sigma = 0.5, built at sigma = 0.05
+        grid = CandidateGrid(alphas=np.geomspace(1.0, 1e-3, k), v=np.geomspace(1.0, 4.0**k, k) * (0.05 / 0.5) ** 2,
+                             theta1=1.5, theta2=5.0, sigma=0.05)
+        lepskii = lepskii_limits(grid)
         picks, _, tables = stream_and_tables(w_rows, ys, {"solit": kappa, "lepskii": lepskii})
         np.testing.assert_array_equal(picks["solit"], solit_select(tables, kappa))
-        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, 0.05))
+        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid))
         if k > 2:
             assert len(set(picks["solit"].tolist())) > 1
 
@@ -504,10 +512,10 @@ class TestStreamSelect:
             thresholds = build_thresholds(problem, spec, grid)
             w_rows = estimator_weights(problem, spec, grid.alphas)
             ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(12)])
-            limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, sigma, 1.5)}
+            limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, 1.5)}
             picks, _, tables = stream_and_tables(w_rows, ys, limits)
             np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds.kappa))
-            np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma, 1.5))
+            np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, 1.5))
 
     def test_every_run_accepting_at_row_0_stops_after_one_row(self):
         rng = np.random.default_rng(1)
@@ -637,12 +645,12 @@ class TestStreamScreen:
         scale = np.median(tables[:, iu[0], iu[1]]) * 10.0**limit_scale if k > 1 else 1.0
         kappa = np.full((k, k), np.nan)
         kappa[iu] = scale * rng.uniform(0.3, 3.0, iu[0].size)
-        grid = CandidateGrid(alphas=np.geomspace(1.0, 1e-3, k), v=np.cumsum(rng.uniform(0.1, 1.0, k)),
-                             theta1=1.5, theta2=5.0, sigma=1.0)
-        sigma = scale * rng.uniform(0.3, 3.0) / (4.0 * np.sqrt(grid.v[-1]))
-        picks = stream_select(ys**2, w_rows, {"solit": kappa, "lepskii": lepskii_limits(grid, sigma)})
+        v = np.cumsum(rng.uniform(0.1, 1.0, k))  # the variances at sigma = 1
+        sigma = scale * rng.uniform(0.3, 3.0) / (4.0 * np.sqrt(v[-1]))
+        grid = CandidateGrid(alphas=np.geomspace(1.0, 1e-3, k), v=v * sigma**2, theta1=1.5, theta2=5.0, sigma=sigma)
+        picks = stream_select(ys**2, w_rows, {"solit": kappa, "lepskii": lepskii_limits(grid)})
         np.testing.assert_array_equal(picks["solit"], solit_select(tables, kappa))
-        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma))
+        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid))
 
     @pytest.mark.parametrize("scale,bad", [(1e-157, None), (1e156, None), (1.0, np.nan), (1.0, np.inf)],
                              ids=["underflow", "overflow", "nan", "inf"])
@@ -668,11 +676,11 @@ class TestStreamScreen:
         grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
         thresholds = build_thresholds(problem, spec, grid)
         ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(64)])
-        limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, sigma)}
+        limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid)}
         picks, rows, _ = stream_and_tables(thresholds.weights, ys, limits)
         tables = row_tables(thresholds.weights, ys**2)
         np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds.kappa))
-        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid, sigma))
+        np.testing.assert_array_equal(picks["lepskii"], lepskii_select(tables, grid))
         walked = min(max(p.max() for p in picks.values()) + 1, grid.m_max)
         assert len(rows) < walked / 2, (rows, walked)
 

@@ -49,8 +49,8 @@ def solit_reference(bhat, kappa, m_max):
     return m_max
 
 
-def lepskii_reference(bhat, grid, sigma, kappa_tune):
-    mu = np.sqrt(grid.v) * (sigma / grid.sigma)
+def lepskii_reference(bhat, grid, kappa_tune):
+    mu = np.sqrt(grid.v)
     for m1 in range(grid.m_max + 1):
         if all(bhat[m1, m2] <= 4.0 * kappa_tune * mu[m2] for m2 in range(m1 + 1, grid.m_max + 1)):
             return m1
@@ -74,7 +74,7 @@ class TestBuildThresholds:
         # the row-wise table against the per-pair critical value and variance
         step = 1.0 / float(small_heat.eigenvalues[0])
         for kind in ("tikhonov", "showalter", "cutoff", "landweber"):
-            spec = FilterSpec.from_name(kind, landweber_step=step)
+            spec = FilterSpec.for_spectrum(kind, small_heat.eigenvalues, landweber_step=step)
             grid = build_grid(small_heat, spec, sigma=0.1, theta=2.0)
             tt = build_thresholds(small_heat, spec, grid, beta=1.0, gamma=1.0)
             assert tt.m_max == grid.m_max > 0, kind
@@ -243,16 +243,17 @@ class TestStackedSelectors:
     def test_stack_matches_per_matrix_calls(self, case):
         bhat, kappa, v = case
         m_max = kappa.shape[0] - 1
-        grid = toy_grid(v, sigma=0.5)
+        # the grid of v at sigma = 0.5, built at sigma = 0.1
+        grid = toy_grid(v * (0.1 / 0.5) ** 2, sigma=0.1)
         solit = solit_select(bhat, kappa)
-        lepskii = lepskii_select(bhat, grid, sigma=0.1)
+        lepskii = lepskii_select(bhat, grid)
         assert solit.shape == lepskii.shape == (bhat.shape[0],)
         for i, table_i in enumerate(bhat):
             assert solit[i] == solit_select(table_i, kappa) == solit_reference(table_i, kappa, m_max)
-            assert lepskii[i] == lepskii_select(table_i, grid, sigma=0.1)
-            assert lepskii[i] == lepskii_reference(table_i, grid, 0.1, 1.0)
+            assert lepskii[i] == lepskii_select(table_i, grid)
+            assert lepskii[i] == lepskii_reference(table_i, grid, 1.0)
         assert isinstance(solit_select(bhat[0], kappa), int)
-        assert isinstance(lepskii_select(bhat[0], grid, sigma=0.1), int)
+        assert isinstance(lepskii_select(bhat[0], grid), int)
 
     def test_optimal_stack(self):
         errors = np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
@@ -293,7 +294,7 @@ class TestLepskiiSelect:
         # bhat_01 = 5 > 4 * kappa * mu_1 = 4, so index 0 fails and 1 is vacuous
         grid = toy_grid([0.25, 1.0])
         bhat = table(1, {(0, 1): 5.0})
-        assert lepskii_select(bhat, grid, sigma=1.0, kappa_tune=1.0) == 1
+        assert lepskii_select(bhat, grid, kappa_tune=1.0) == 1
 
     def test_threshold_uses_finer_index_mu(self):
         # mu = (0.1, 1, 10): the correct thresholds at m1=0 are 4*mu_{m2} =
@@ -301,7 +302,7 @@ class TestLepskiiSelect:
         # would compare against 0.4 and reject index 0
         grid = toy_grid([0.01, 1.0, 100.0], alphas=[1.0, 0.5, 0.25])
         bhat = table(2, {(0, 1): 2.0, (0, 2): 20.0, (1, 2): 1.0})
-        assert lepskii_select(bhat, grid, sigma=1.0, kappa_tune=1.0) == 0
+        assert lepskii_select(bhat, grid, kappa_tune=1.0) == 0
 
     def test_kappa_tune_floor(self):
         grid = toy_grid([0.25, 1.0])
