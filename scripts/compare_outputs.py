@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are directories holding the ``solit`` package (the
 sweeps through its own ``run_experiment``, in its own interpreter with one
 BLAS thread.  For every sweep the script prints a digest of its
 selected-index histograms under each tree, how many histograms differ, the
-largest relative MSE difference, how many cell values differ and how many
-grids differ; then the totals.  A cell's values are its noise level's
+largest relative MSE difference, how many cell values differ and the largest
+relative difference of a cell value, and how many grids differ; then the
+totals.  A cell's values are its noise level's
 m_star, R_mstar, C1, C2 and poa and each selector's stderr; its grid is the
 candidate alphas and variances v.  It also draws
 ``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
@@ -182,9 +183,11 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-# the counts of sweep_differences; "worst MSE" is the largest relative MSE difference
+# the counts of sweep_differences; "worst MSE" and "worst value" are the
+# largest relative differences of an MSE and of a cell value
 COUNTS = ("histograms", "histograms differing", "worst MSE", "cell values", "cell values differing",
-          "grids", "grids differing")
+          "worst value", "grids", "grids differing")
+WORST = ("worst MSE", "worst value")
 
 
 def sweep_differences(a: list, b: list, rtol: float) -> dict:
@@ -197,6 +200,7 @@ def sweep_differences(a: list, b: list, rtol: float) -> dict:
         values_b = cb["values"] + [cb["selectors"][name][2] for name in names]
         out["cell values"] += len(values_a)
         out["cell values differing"] += sum(not math.isclose(x, y, rel_tol=rtol) for x, y in zip(values_a, values_b))
+        out["worst value"] = max([out["worst value"], *map(rel_diff, values_a, values_b)])
         out["grids"] += 1
         out["grids differing"] += ca["grid"] != cb["grid"]
         for name in names:
@@ -207,9 +211,7 @@ def sweep_differences(a: list, b: list, rtol: float) -> dict:
 
 
 def totals(per_sweep: list[dict]) -> dict:
-    out = {key: sum(d[key] for d in per_sweep) for key in COUNTS}
-    out["worst MSE"] = max(d["worst MSE"] for d in per_sweep)
-    return out
+    return {key: (max if key in WORST else sum)(d[key] for d in per_sweep) for key in COUNTS}
 
 
 def differs(counts: dict, mse_rtol: float) -> bool:
@@ -221,12 +223,13 @@ def compare(old: list, new: list) -> dict:
     """Print one line per sweep; return the totals of its COUNTS."""
     per_sweep = []
     width = max(len(label(cell)) for cell in cells())
-    print(f"{'sweep':{width}} {'old':12} {'new':12} {'differ':>8} {'worst MSE rel':>14} {'values':>8} {'grids':>6}")
+    print(f"{'sweep':{width}} {'old':12} {'new':12} {'differ':>8} {'worst MSE rel':>14} {'values':>8} "
+          f"{'worst value rel':>16} {'grids':>6}")
     for cell, a, b in zip(cells(), old, new):
         d = sweep_differences(a, b, MSE_RTOL)
         hists = f"{d['histograms differing']}/{d['histograms']}"
         print(f"{label(cell):{width}} {digest(a):12} {digest(b):12} {hists:>8} {d['worst MSE']:14.2e} "
-              f"{d['cell values differing']:>8} {d['grids differing']:>6}")
+              f"{d['cell values differing']:>8} {d['worst value']:16.2e} {d['grids differing']:>6}")
         per_sweep.append(d)
     return totals(per_sweep)
 
@@ -265,7 +268,8 @@ def main(argv=None) -> int:
     for prefix, c in (("", counts), ("single-CPU ", single)):
         print(f"{prefix}histograms differing: {c['histograms differing']} of {c['histograms']}")
         print(f"{prefix}worst relative MSE difference: {c['worst MSE']:.2e}")
-        print(f"{prefix}cell values differing: {c['cell values differing']} of {c['cell values']}")
+        print(f"{prefix}cell values differing: {c['cell values differing']} of {c['cell values']}, "
+              f"worst relative difference {c['worst value']:.2e}")
         print(f"{prefix}grids differing: {c['grids differing']} of {c['grids']}")
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
     print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")

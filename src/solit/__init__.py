@@ -10,7 +10,6 @@ from .candidates import (
     line_search_variance,
     pairwise_variance_v,
     variance_V,
-    weak_variance_u,
 )
 from .errors import ConfigurationError, InvalidParameterError
 from .filters import (
@@ -48,7 +47,6 @@ from .selectors import (
     solit_select,
 )
 from .sequence_model import (
-    DataRealization,
     SpectralProblem,
     estimate,
     simulate_data,
@@ -64,7 +62,6 @@ from .testproblems import (
 __all__ = [
     "CandidateGrid",
     "ConfigurationError",
-    "DataRealization",
     "ExperimentConfig",
     "ExperimentResult",
     "FilterSpec",
@@ -103,6 +100,5 @@ __all__ = [
     "validate_ordered_filter",
     "variance_V",
     "verify_oracle_inequality",
-    "weak_variance_u",
     "write_results",
 ]

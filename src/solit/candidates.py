@@ -33,18 +33,6 @@ def variance_V(problem: SpectralProblem, spec: FilterSpec, alpha: float) -> floa
     return float(np.sum(problem.eigenvalues * q * q))
 
 
-def weak_variance_u(problem: SpectralProblem, spec: FilterSpec, alpha: float, sigma: float) -> float:
-    """Operator-norm variance sigma^2 * max_k lam_k q_alpha(lam_k)^2.
-
-    Measures the amplification of a single noise coordinate; bounded by
-    sigma^2 / alpha for ordered filters, since alpha q_alpha <= 1.
-    """
-    if sigma < 0:
-        raise InvalidParameterError("noise level must be nonnegative")
-    q = filter_weight(spec, alpha, problem.eigenvalues)
-    return float(sigma**2 * np.max(problem.eigenvalues * q * q))
-
-
 def pairwise_variance_v(
     problem: SpectralProblem, spec: FilterSpec, alpha_a: float, alpha_b: float, sigma: float
 ) -> float:

@@ -184,7 +184,8 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
     opts, problem, spec = _problem_and_filter(args)
     grid = build_grid(problem, spec, args.sigma, opts["theta"])
     w_rows = estimator_weights(problem, spec, grid.alphas)
-    print("m1,m2,p,ltz,mc,rel_err")
+    # every row before any output, so a bad value leaves only the error line
+    rows = []
     for m1 in range(grid.m_max):
         m2 = m1 + 1
         weights = (w_rows[m1] - w_rows[m2]) ** 2
@@ -193,7 +194,8 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
         for p, mc in zip(_QUANTILE_CHECK_TAILS, mcs):
             ltz = ltz_quantile_for_weights(weights, p)
             rel = abs(ltz - mc) / mc
-            print(f"{m1},{m2},{p:.9g},{ltz:.9g},{mc:.9g},{rel:.4g}")
+            rows.append(f"{m1},{m2},{p:.9g},{ltz:.9g},{mc:.9g},{rel:.4g}")
+    print("m1,m2,p,ltz,mc,rel_err", *rows, sep="\n")
     return 0
 
 
@@ -201,16 +203,16 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise InvalidParameterError("--points must be at least 1")
     opts, problem, spec = _problem_and_filter(args)
-    data = simulate_data(problem, args.sigma, args.seed)
+    y = simulate_data(problem, args.sigma, args.seed)
     if args.alpha is not None:
         alpha = args.alpha
     else:
         grid = build_grid(problem, spec, args.sigma, opts["theta"])
         thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
         # the rule and the distances of the sweeps, for one realization
-        pick = stream_select(data.y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]
+        pick = stream_select(y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]
         alpha = float(grid.alphas[pick])
-    coeffs = estimate(problem, data, spec, alpha)
+    coeffs = estimate(problem, y, spec, alpha)
     xs = np.linspace(*DOMAINS[opts["problem"]], args.points)
     values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))
     print(f"# alpha={alpha:.9g}")

@@ -10,7 +10,8 @@ squared errors.  Every noise level takes a prefix of that grid and, through
 ``ThresholdTable.restrict``, of those tables at its own sigma: the
 thresholds scaled by sigma, the variances by sigma^2, and a read-only view of
 the first rows of every other table.  The oracle index and constants, the
-Lepskii limits and the squared errors read sigma from that grid and table.
+Lepskii limits and the squared errors read sigma from that grid and table,
+and u* = sigma^2 max_k W[m*, k]^2 of the constants from the table's W^2.
 The runner then replays seeded realizations in blocks of runs.  Run r at
 noise level si draws the stream of ``np.random.Philox(seed)`` with seed
 ``SeedSequence((master, si, r)).generate_state(1, uint64)``; Philox is keyed
@@ -54,7 +55,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .candidates import CandidateGrid, build_grid, weak_variance_u
+from .candidates import CandidateGrid, build_grid
 from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .filters import filter_weight  # noqa: F401 - perfbench's filters.filter_weight.calls.harness probe
@@ -142,7 +143,6 @@ class SelectorSummary:
 
 @dataclass
 class SigmaCell:
-    sigma: float
     grid: CandidateGrid
     m_star: int
     r_mstar: float
@@ -150,6 +150,11 @@ class SigmaCell:
     c2: float
     poa: float
     selectors: dict[str, SelectorSummary]
+
+    @property
+    def sigma(self) -> float:
+        """The cell's noise level, its grid's."""
+        return self.grid.sigma
 
 
 @dataclass
@@ -208,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sigma, thresholds = grid.sigma, tables.restrict(grid)
         mm = grid.m_max
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
-        u_star = weak_variance_u(problem, spec, grid.alphas[m_star], sigma)
+        u_star = sigma**2 * float(thresholds.w_sq[m_star].max())  # sigma^2 max_k lam_k q_{alpha_m*}(lam_k)^2
         c1, c2 = oracle_constants(grid, m_star, u_star, config.beta, config.gamma)
         fixed_choices = {
             "oracle": m_star,
@@ -250,7 +255,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             summaries[name] = SelectorSummary(mse=math.fsum(vals) / config.runs, stderr=stderr,
                                               histogram=np.bincount(idx, minlength=mm + 1))
         r_mstar = math.fsum(err_sq[:, m_star]) / config.runs
-        return SigmaCell(sigma=sigma, grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
+        return SigmaCell(grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
                          poa=price_of_adaptation(r_mstar, c2), selectors=summaries)
 
     # the deepest noise levels have the most candidates and cost the most, so
@@ -392,7 +397,8 @@ def write_results(result: ExperimentResult, path: str) -> None:
 def _csv_rows(path: str, columns: dict) -> list[dict]:
     """The rows of a results CSV file, each cell of the columns in
     ``columns`` cast by that column's type; raises unless the header holds
-    every column and every such cell casts."""
+    every column and every such cell casts, to a finite number for a float
+    column."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
@@ -405,10 +411,12 @@ def _csv_rows(path: str, columns: dict) -> list[dict]:
                 try:
                     parsed[name] = cast(row[name])
                 except (TypeError, ValueError):
+                    parsed[name] = None
+                if parsed[name] is None or cast is float and not math.isfinite(parsed[name]):
                     raise InvalidParameterError(
                         f"{path} line {reader.line_num}: column {name!r} holds {row[name]!r}, "
-                        f"not {'an integer' if cast is int else 'a number'}"
-                    ) from None
+                        f"not {'an integer' if cast is int else 'a finite number'}"
+                    )
             rows.append(parsed)
         return rows
 
@@ -433,7 +441,8 @@ def _grid_meta(ginfo: dict, where: str) -> dict:
 
 def read_results(path: str) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a directory written by
-    ``write_results``."""
+    ``write_results``.  The noise levels of results.csv take the grids of
+    meta.json in order, and each must equal its grid's sigma."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         try:
@@ -467,18 +476,18 @@ def read_results(path: str) -> ExperimentResult:
             )
         )
 
-    cells: list[SigmaCell] = []
     by_sigma: dict[float, SigmaCell] = {}
     results_path = os.path.join(path, "results.csv")
     for row in _csv_rows(results_path, RESULTS_COLUMNS):
-        sig = row["sigma"]
+        sig, i = row["sigma"], len(by_sigma)
         if sig not in by_sigma:
-            if len(cells) == len(grids):
+            if i == len(grids):
                 raise InvalidParameterError(f"{results_path} has more noise levels than {meta_path} has grids")
-            by_sigma[sig] = SigmaCell(sigma=sig, grid=grids[len(cells)], m_star=row["m_star"],
-                                      r_mstar=row["R_mstar"], c1=row["C1"], c2=row["C2"], poa=row["poa"],
-                                      selectors={})
-            cells.append(by_sigma[sig])
+            if sig != grids[i].sigma:
+                raise InvalidParameterError(f"{results_path} noise level {i} is {sig!r}, "
+                                            f"not the sigma {grids[i].sigma!r} of {meta_path} grid entry {i}")
+            by_sigma[sig] = SigmaCell(grid=grids[i], m_star=row["m_star"], r_mstar=row["R_mstar"], c1=row["C1"],
+                                      c2=row["C2"], poa=row["poa"], selectors={})
         cell = by_sigma[sig]
         cell.selectors[row["selector"]] = SelectorSummary(
             mse=row["mse"], stderr=row["stderr"], histogram=np.zeros(cell.grid.m_max + 1, dtype=int))
@@ -490,4 +499,4 @@ def read_results(path: str) -> ExperimentResult:
         if summary is None or not 0 <= index < summary.histogram.size:
             raise InvalidParameterError(f"{selections_path} row {row} matches no histogram of {results_path}")
         summary.histogram[index] = row["count"]
-    return ExperimentResult(config=config, cells=cells)
+    return ExperimentResult(config=config, cells=list(by_sigma.values()))

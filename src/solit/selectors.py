@@ -35,13 +35,12 @@ class ThresholdTable:
     elsewhere): thresholds kappa, noise-free biases ||(W[m1] - W[m2]) g|| and
     variances sigma^2 ||W[m1] - W[m2]||^2.  Per candidate, for the squared
     errors ||W[m] y - f||^2 (``errors``), with B = W g - f: the ||B_m||^2
-    (``b_sq``), W * B (``wb``) and W^2 (``w_sq``).  Also the tail budgets x_m
-    = 2 (1+gamma) log(v_{m+1}/v_0), the noise level sigma and W itself
-    (``weights``).  Every array is held as a read-only view, so neither
-    building nor ``restrict`` copies a (k, n) table."""
+    (``b_sq``), W * B (``wb``) and W^2 (``w_sq``), whose row maxima also give
+    the weak variances sigma^2 max_k W[m, k]^2.  Also the noise level sigma
+    and W itself (``weights``).  Every array is held as a read-only view, so
+    neither building nor ``restrict`` copies a (k, n) table."""
 
     kappa: np.ndarray
-    x: np.ndarray
     bias: np.ndarray
     variance: np.ndarray
     sigma: float
@@ -59,8 +58,7 @@ class ThresholdTable:
         if self.weights.ndim != 2:
             raise InvalidParameterError("weights must hold one row per candidate")
         k, n = self.weights.shape
-        shapes = {"kappa": (k, k), "bias": (k, k), "variance": (k, k), "x": (k - 1,),
-                  "b_sq": (k,), "wb": (k, n), "w_sq": (k, n)}
+        shapes = {"kappa": (k, k), "bias": (k, k), "variance": (k, k), "b_sq": (k,), "wb": (k, n), "w_sq": (k, n)}
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
                 raise InvalidParameterError(f"{name} must have shape {shape} for weights of shape {(k, n)}")
@@ -79,7 +77,7 @@ class ThresholdTable:
             raise InvalidParameterError("a table restricts only to a prefix of its own grid")
         scale = grid.sigma / self.sigma
         return replace(self, kappa=scale * self.kappa[:k, :k], variance=scale**2 * self.variance[:k, :k],
-                       sigma=grid.sigma, x=self.x[: k - 1], bias=self.bias[:k, :k], weights=self.weights[:k],
+                       sigma=grid.sigma, bias=self.bias[:k, :k], weights=self.weights[:k],
                        b_sq=self.b_sq[:k], wb=self.wb[:k], w_sq=self.w_sq[:k])
 
     def errors(self, eps: np.ndarray) -> np.ndarray:
@@ -108,7 +106,8 @@ def build_thresholds(
       kappa[m1, m2] = sigma * sqrt(q_{e^-x_m1}(d2)) + beta * sqrt(variance),
       bias[m1, m2] = sqrt(d2 @ g^2),
 
-    with g the exact data; kappa equals sigma * critical_value_z + beta *
+    with g the exact data and x_m = 2 (1+gamma) log(v_{m+1}/v_0) the tail
+    budgets; kappa equals sigma * critical_value_z + beta *
     sqrt(pairwise_variance_v).  The error tables follow from B = W g - f, with
     f the truth.  The tables of every prefix of the grid follow by
     ``ThresholdTable.restrict``.
@@ -136,30 +135,23 @@ def build_thresholds(
     b_sq = np.einsum("ij,ij->i", wb, wb)
     wb *= w_rows
     np.multiply(w_rows, w_rows, out=w_sq)
-    return ThresholdTable(kappa, x, bias, variance, sigma, w_rows, b_sq, wb, w_sq)
-
-
-def _first_accepted_row(bhat: np.ndarray, limits: np.ndarray) -> int | np.ndarray:
-    """Smallest m1 with bhat[..., m1, m2] <= limits[m1, m2] for every m2 > m1,
-    for each (k, k) matrix of a stack; the last row is vacuously accepted.
-    ``limits`` broadcasts against one (k, k) matrix.
-    A 2-D table gives an int, a stack an integer array of its leading shape."""
-    bhat = np.asarray(bhat, dtype=float)
-    k = bhat.shape[-1]
-    upper = np.triu(np.ones((k, k), dtype=bool), k=1)
-    accepted = np.all((bhat <= limits) | ~upper, axis=-1)
-    idx = np.argmax(accepted, axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
+    return ThresholdTable(kappa, bias, variance, sigma, w_rows, b_sq, wb, w_sq)
 
 
 def solit_select(bhat: np.ndarray, kappa: np.ndarray) -> int | np.ndarray:
     """Smallest m1 whose estimator stays within threshold of every finer
-    candidate: max_{m2 > m1} (bhat_{m1,m2} - kappa_{m1,m2}) <= 0, with the
-    limits ``kappa`` a (k, k) table such as ``ThresholdTable.kappa``.  When no
-    m1 < m_max qualifies the maximum over the empty set at m_max is vacuous,
-    so m_max is returned.  ``bhat`` may be a stack (..., k, k) of tables, one
-    per realization; the result then holds one index per table."""
-    return _first_accepted_row(bhat, kappa)
+    candidate: max_{m2 > m1} (bhat_{m1,m2} - kappa_{m1,m2}) <= 0, with limits
+    ``kappa`` that broadcast against one (k, k) table, such as
+    ``ThresholdTable.kappa``; only m2 > m1 is read.  When no m1 < m_max
+    qualifies, the maximum over the empty set at m_max is vacuous, so m_max
+    is returned.  ``bhat`` may be a stack (..., k, k) of tables, one per
+    realization; the result then holds one index per table."""
+    bhat = np.asarray(bhat, dtype=float)
+    k = bhat.shape[-1]
+    upper = np.triu(np.ones((k, k), dtype=bool), k=1)
+    accepted = np.all((bhat <= kappa) | ~upper, axis=-1)
+    idx = np.argmax(accepted, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def oracle_select(b: np.ndarray, v: np.ndarray, beta: float) -> int:
@@ -181,7 +173,7 @@ def lepskii_select(bhat: np.ndarray, grid: CandidateGrid, kappa_tune: float = 1.
     mu_k = sigma * sqrt(V(alpha_k)) at the grid's noise level.  ``bhat`` may
     be a stack (..., k, k) of tables; the result then holds one index per
     table."""
-    return _first_accepted_row(bhat, lepskii_limits(grid, kappa_tune))
+    return solit_select(bhat, lepskii_limits(grid, kappa_tune))
 
 
 def lepskii_limits(grid: CandidateGrid, kappa_tune: float = 1.0) -> np.ndarray:
@@ -207,7 +199,7 @@ def stream_select(
     against one (k, k) table, of which only m2 > m1 is read: ``kappa`` for
     solit, the row ``lepskii_limits`` for Lepskii.  A run's pick is the
     first m1 whose distances are all within the limits, m_max when none is,
-    exactly as ``_first_accepted_row`` finds it on the full tables.
+    exactly as ``solit_select`` finds it on the full tables.
 
     Most rows are never formed.  One GEMM against np.diff(W)**2 first gives
     every run's adjacent distances a[b, m] = ||(W[m+1] - W[m]) * y_b||, and

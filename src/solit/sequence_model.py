@@ -68,19 +68,6 @@ class SpectralProblem:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class DataRealization:
-    """One noisy observation y_k = g_k + sigma * eps_k, reproducible from the
-    seed through a counter-based generator."""
-
-    y: np.ndarray
-    sigma: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _frozen_array(self.y, "y"))
-
-
 # the hashing constants of numpy's SeedSequence (pool of four 32-bit words)
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -166,8 +153,9 @@ def standard_normals(keys: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> DataRealization:
-    """Draw y = data_truth + sigma * eps with standard normal eps.
+def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> np.ndarray:
+    """Draw y = data_truth + sigma * eps with standard normal eps, returned
+    read-only.
 
     The generator is counter-based: eps is the stream of
     ``np.random.Philox(seed)``, so a seed fully determines the realization.
@@ -178,7 +166,7 @@ def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> DataReal
         raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
     key = seed_state(seed_words(seed)[None, :], 2, np.uint64)
     eps = standard_normals(key, problem.n)[0]
-    return DataRealization(y=problem.data_truth + sigma * eps, sigma=float(sigma), seed=int(seed))
+    return _frozen_array(problem.data_truth + sigma * eps, "y")
 
 
 def estimator_weights(problem: SpectralProblem, spec: FilterSpec, alphas) -> np.ndarray:
@@ -188,9 +176,9 @@ def estimator_weights(problem: SpectralProblem, spec: FilterSpec, alphas) -> np.
     return np.vstack([filter_weight(spec, a, lam) for a in alphas]) * np.sqrt(lam)
 
 
-def estimate(problem: SpectralProblem, data: DataRealization, spec: FilterSpec, alpha: float) -> np.ndarray:
+def estimate(problem: SpectralProblem, y: np.ndarray, spec: FilterSpec, alpha: float) -> np.ndarray:
     """Filter estimator coefficients f_hat_k = q_alpha(lam_k) sqrt(lam_k) y_k."""
-    y = data.y if isinstance(data, DataRealization) else np.asarray(data, dtype=float)
+    y = np.asarray(y, dtype=float)
     if y.size != problem.n:
         raise InvalidParameterError("data length does not match the problem dimension")
     return estimator_weights(problem, spec, [alpha])[0] * y

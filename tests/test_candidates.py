@@ -16,7 +16,6 @@ from solit import (
     line_search_variance,
     pairwise_variance_v,
     variance_V,
-    weak_variance_u,
 )
 from conftest import synthetic_problem
 
@@ -42,18 +41,6 @@ class TestVarianceFunctionals:
         for spec in (TIKH, FilterSpec("showalter"), CUTOFF):
             vals = [variance_V(TWO_MODE, spec, a) for a in alphas]
             assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_weak_variance_examples(self):
-        assert weak_variance_u(TWO_MODE, CUTOFF, 0.2, 1.0) == pytest.approx(4.0)
-        assert weak_variance_u(TWO_MODE, CUTOFF, 0.2, 0.0) == 0.0
-        p = synthetic_problem([1.0], [0.0])
-        assert weak_variance_u(p, TIKH, 1.0, 2.0) == pytest.approx(1.0)
-
-    def test_weak_variance_bounded_by_sigma_sq_over_alpha(self):
-        # u <= sigma^2 / alpha for ordered filters (alpha q_alpha <= 1)
-        for spec in (TIKH, FilterSpec("showalter"), CUTOFF):
-            for a in np.geomspace(1.0, 1e-3, 15):
-                assert weak_variance_u(TWO_MODE, spec, a, 0.5) <= 0.25 / a * (1 + 1e-12)
 
     def test_pairwise_variance_examples(self):
         assert pairwise_variance_v(TWO_MODE, TIKH, 0.3, 0.3, 1.0) == 0.0

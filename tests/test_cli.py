@@ -187,6 +187,8 @@ class TestErrors:
             ("simulate", "--seed", "-1"),
             ("simulate", "--selectors", "solit,solit"),  # a selector named twice
             ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
+            # too few samples, found after the grid is built: no CSV header either
+            ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--mc-samples", "10"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
             ("reconstruct", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--points", "-1"),
             ("simulate", "--config", "{tmp}/missing.json"),  # OSError
@@ -389,6 +391,14 @@ def _extra_noise_level(path):
     _append_row(path, ["1", *list(first.values())[1:]])
 
 
+def _replace_noise_level(directory, old, new):
+    """Write noise level ``new`` for ``old`` in results.csv and selections.csv,
+    whose first column is the noise level."""
+    for name in ("results.csv", "selections.csv"):
+        path = directory / name
+        path.write_text(path.read_text().replace(f"\n{old},", f"\n{new},"))
+
+
 def _set_cell(path, line, column, value):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -433,21 +443,28 @@ class TestIncompleteResults:
             (lambda d: _extra_noise_level(d / "results.csv"), "more noise levels than"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "bogus", "0", "1"]), "matches no histogram"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "solit", "99", "1"]), "matches no histogram"),
+            (lambda d: _replace_noise_level(d, "0.01", "0.02"),
+             "results.csv noise level 0 is 0.02, not the sigma 0.01 of"),
             (lambda d: _set_cell(d / "results.csv", 3, "mse", "abc"),
-             "results.csv line 3: column 'mse' holds 'abc', not a number"),
-            (lambda d: _set_cell(d / "results.csv", 3, "mse", "nan"), "rate fits need positive, finite sigmas and MSEs"),
+             "results.csv line 3: column 'mse' holds 'abc', not a finite number"),
+            (lambda d: _set_cell(d / "results.csv", 3, "mse", "nan"),
+             "results.csv line 3: column 'mse' holds 'nan', not a finite number"),
+            (lambda d: _set_cell(d / "results.csv", 2, "sigma", "inf"),
+             "results.csv line 2: column 'sigma' holds 'inf', not a finite number"),
             (lambda d: _set_cell(d / "results.csv", 2, "m_star", "1.5"),
              "results.csv line 2: column 'm_star' holds '1.5', not an integer"),
             (lambda d: _set_cell(d / "results.csv", 4, "sigma", ""),
-             "results.csv line 4: column 'sigma' holds '', not a number"),
+             "results.csv line 4: column 'sigma' holds '', not a finite number"),
             (lambda d: _set_cell(d / "selections.csv", 2, "count", "x"),
              "selections.csv line 2: column 'count' holds 'x', not an integer"),
             (lambda d: _set_cell(d / "selections.csv", 3, "index", "first"),
              "selections.csv line 3: column 'index' holds 'first', not an integer"),
             (lambda d: _set_cell(d / "grid_002.csv", 3, "alpha", "abc"),
-             "grid_002.csv line 3: column 'alpha' holds 'abc', not a number"),
+             "grid_002.csv line 3: column 'alpha' holds 'abc', not a finite number"),
             (lambda d: _set_cell(d / "grid_000.csv", 2, "v_m", "big"),
-             "grid_000.csv line 2: column 'v_m' holds 'big', not a number"),
+             "grid_000.csv line 2: column 'v_m' holds 'big', not a finite number"),
+            (lambda d: _set_cell(d / "grid_001.csv", 3, "v_m", "nan"),
+             "grid_001.csv line 3: column 'v_m' holds 'nan', not a finite number"),
             (lambda d: _set_grid_value(d / "meta.json", 1, "theta1", "x"),
              "grid entry 1: 'theta1' holds 'x', not a number"),
             (lambda d: _set_grid_value(d / "meta.json", 0, "sigma", [0.01]),
@@ -460,9 +477,9 @@ class TestIncompleteResults:
              "grid entry 0: 'truncation_tail_ratio' holds 'small', not a number"),
         ],
         ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "unknown-selector",
-             "index-out-of-range", "results-mse", "results-mse-nan", "results-m-star", "results-sigma", "selections-count",
-             "selections-index", "grid-alpha", "grid-v", "meta-theta1", "meta-sigma", "meta-theta2-bool",
-             "meta-enlarged", "meta-tail-ratio"],
+             "index-out-of-range", "sigma-not-the-grids", "results-mse", "results-mse-nan", "results-sigma-inf",
+             "results-m-star", "results-sigma", "selections-count", "selections-index", "grid-alpha", "grid-v",
+             "grid-v-nan", "meta-theta1", "meta-sigma", "meta-theta2-bool", "meta-enlarged", "meta-tail-ratio"],
     )
     def test_one_line_and_exit_code_2(self, written, tmp_path, capsys, damage, message):
         broken = tmp_path / "res"

@@ -40,6 +40,7 @@ from solit.selectors import (
     lepskii_select,
     noise_level_select,
     optimal_select,
+    oracle_constants,
     oracle_select,
     solit_select,
     stream_select,
@@ -201,6 +202,20 @@ class TestRunExperiment:
         for cell in res.cells:
             assert cell.selectors["oracle"].mse == cell.r_mstar
             assert cell.selectors["oracle"].histogram[cell.m_star] == res.config.runs
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff", "landweber"])
+    def test_c2_takes_the_weak_variance_at_m_star(self, kind):
+        # u* = sigma^2 max_k lam_k q_{alpha_m*}(lam_k)^2 from the filter itself;
+        # the sweep reads it from the table's W^2
+        res = run_experiment(ExperimentConfig(**{**SMALL, "filter_kind": kind}))
+        problem = get_problem("antiderivative", n=64)
+        spec = FilterSpec.for_spectrum(kind, problem.eigenvalues)
+        lam = problem.eigenvalues
+        for cell in res.cells:
+            q = filter_weight(spec, cell.grid.alphas[cell.m_star], lam)
+            u = cell.sigma**2 * float(np.max(lam * q * q))
+            _, c2 = oracle_constants(cell.grid, cell.m_star, u, res.config.beta, res.config.gamma)
+            assert cell.c2 == pytest.approx(c2, rel=1e-15, abs=0), cell.sigma
 
     def test_m_star_from_deterministic_tables(self):
         res = run_experiment(ExperimentConfig(**SMALL))
@@ -393,7 +408,7 @@ class TestBlockedRuns:
             ys = problem.data_truth + sigma * np.vstack(by_sigma[sigma])
             assert len(ys) == cfg.runs
             for r, y in enumerate(ys):
-                np.testing.assert_array_equal(y, simulate_data(problem, sigma, run_seed(seed, si, r)).y)
+                np.testing.assert_array_equal(y, simulate_data(problem, sigma, run_seed(seed, si, r)))
 
     @pytest.mark.parametrize("kind", ["tikhonov", "cutoff"])
     @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
@@ -511,7 +526,7 @@ class TestStreamSelect:
             grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
             thresholds = build_thresholds(problem, spec, grid)
             w_rows = estimator_weights(problem, spec, grid.alphas)
-            ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(12)])
+            ys = np.stack([simulate_data(problem, sigma, seed) for seed in range(12)])
             limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, 1.5)}
             picks, _, tables = stream_and_tables(w_rows, ys, limits)
             np.testing.assert_array_equal(picks["solit"], solit_select(tables, thresholds.kappa))
@@ -562,7 +577,7 @@ class TestStreamSelect:
         grid = build_grid(small_heat, spec, sigma=1e-3, theta=2.0)
         thresholds = build_thresholds(small_heat, spec, grid)
         w_rows = estimator_weights(small_heat, spec, grid.alphas)
-        ys = np.stack([simulate_data(small_heat, 1e-3, seed).y for seed in range(9)])
+        ys = np.stack([simulate_data(small_heat, 1e-3, seed) for seed in range(9)])
         both, _, tables = stream_and_tables(
             w_rows, ys, {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid)})
         solit_only, solit_rows, _ = stream_and_tables(w_rows, ys, {"solit": thresholds.kappa})
@@ -609,11 +624,10 @@ class TestStreamScreen:
             kappa = np.zeros((k, k))
             kappa[m1, m1 + 1] = limit
             # Lepskii's limits 4 kappa_tune mu_{m2} are one row, which
-            # lepskii_select compares through _first_accepted_row as well
+            # lepskii_select compares through solit_select as well
             lepskii = np.zeros(k)
             lepskii[m1 + 1] = limit
-            want = {"solit": solit_select(tables, kappa),
-                    "lepskii": selectors._first_accepted_row(tables, lepskii)}
+            want = {"solit": solit_select(tables, kappa), "lepskii": solit_select(tables, lepskii)}
             np.testing.assert_array_equal(want["solit"], [m1 if value <= limit else k - 1])
             for limits in ({"solit": kappa, "lepskii": lepskii}, {"solit": kappa}, {"lepskii": lepskii}):
                 RowCounter.widths = []
@@ -675,7 +689,7 @@ class TestStreamScreen:
         sigma = 1e-6
         grid = build_grid(problem, spec, sigma=sigma, theta=2.0)
         thresholds = build_thresholds(problem, spec, grid)
-        ys = np.stack([simulate_data(problem, sigma, seed).y for seed in range(64)])
+        ys = np.stack([simulate_data(problem, sigma, seed) for seed in range(64)])
         limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid)}
         picks, rows, _ = stream_and_tables(thresholds.weights, ys, limits)
         tables = row_tables(thresholds.weights, ys**2)

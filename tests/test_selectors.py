@@ -25,7 +25,7 @@ from solit import (
 )
 from solit.harness import _pairwise_distance_table
 from solit.sequence_model import estimator_weights
-from conftest import bias_norms
+from conftest import bias_norms, synthetic_problem
 
 
 def toy_grid(v, alphas=None, theta1=1.5, theta2=2.5, sigma=1.0):
@@ -78,10 +78,11 @@ class TestBuildThresholds:
             grid = build_grid(small_heat, spec, sigma=0.1, theta=2.0)
             tt = build_thresholds(small_heat, spec, grid, beta=1.0, gamma=1.0)
             assert tt.m_max == grid.m_max > 0, kind
+            x = 4.0 * np.log(grid.v[1:] / grid.v[0])  # the tail budgets 2 (1+gamma) log(v_{m+1}/v_0)
             for m1 in range(grid.m_max):
                 for m2 in range(m1 + 1, grid.m_max + 1):
                     a1, a2 = grid.alphas[m1], grid.alphas[m2]
-                    z = critical_value_z(small_heat, spec, a1, a2, tt.x[m1])
+                    z = critical_value_z(small_heat, spec, a1, a2, x[m1])
                     vp = pairwise_variance_v(small_heat, spec, a1, a2, grid.sigma)
                     want = grid.sigma * z + math.sqrt(vp)
                     assert tt.kappa[m1, m2] == pytest.approx(want, rel=1e-12), (kind, m1, m2)
@@ -101,7 +102,6 @@ class TestBuildThresholds:
             iu = np.triu_indices(grid.m_max + 1, k=1)
             assert got.m_max == grid.m_max and got.sigma == grid.sigma
             np.testing.assert_allclose(got.kappa[iu], ref.kappa[iu], rtol=1e-13, atol=0)
-            np.testing.assert_allclose(got.x, ref.x, rtol=1e-13, atol=0)
             variance = (grid.sigma * _pairwise_distance_table(w)) ** 2
             np.testing.assert_allclose(got.variance[iu], variance[iu], rtol=1e-13, atol=0)
             bias = _pairwise_distance_table(w * problem.data_truth)
@@ -142,11 +142,37 @@ class TestBuildThresholds:
             with pytest.raises(InvalidParameterError):
                 dataclasses.replace(tt, **shape_change)
 
+    def test_weak_variance_examples(self):
+        # sigma^2 max_k W[m, k]^2: cutting at 0.2 keeps lambda = 1/4, where
+        # lambda q^2 = 1/lambda = 4; tikhonov at alpha = lambda = 1 gives
+        # lambda q^2 = 1/4, times sigma^2 = 4
+        two_mode = synthetic_problem([1.0, 0.25])
+        tt = build_thresholds(two_mode, FilterSpec("cutoff"), toy_grid([1.0, 5.0], alphas=[0.5, 0.2]))
+        assert tt.sigma**2 * tt.w_sq[1].max() == pytest.approx(4.0)
+        one_mode = synthetic_problem([1.0])
+        tt = build_thresholds(one_mode, FilterSpec("tikhonov"), toy_grid([1.0], alphas=[1.0], sigma=2.0))
+        assert tt.sigma**2 * tt.w_sq[0].max() == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("ignore:omitted variance tail")
+    @pytest.mark.parametrize("kind", ["tikhonov", "showalter", "cutoff"])
+    @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])
+    def test_weak_variance_bounded_by_sigma_sq_over_alpha(self, name, kind, small_benchmarks):
+        # every row's sigma^2 max_k W[m, k]^2 <= sigma^2 / alpha_m for ordered
+        # filters, since alpha q_alpha <= 1 and lambda q_alpha <= 1 (Landweber's
+        # alpha q_alpha goes up to its step, 1/lambda_1, which may exceed 1)
+        problem = small_benchmarks[name]
+        spec = FilterSpec(kind)
+        grid = build_grid(problem, spec, sigma=1e-3, theta=2.0)
+        tt = build_thresholds(problem, spec, grid)
+        assert tt.m_max > 0
+        u = grid.sigma**2 * tt.w_sq.max(axis=1)
+        assert np.all(u <= grid.sigma**2 / grid.alphas * (1 + 1e-12))
+
     def test_budgets_positive_and_floor(self, small_heat):
         spec = FilterSpec("tikhonov")
         grid = build_grid(small_heat, spec, sigma=0.1, theta=2.0)
         tt = build_thresholds(small_heat, spec, grid, beta=1.5, gamma=1.0)
-        assert np.all(tt.x > 0)
+        assert np.all(4.0 * np.log(grid.v[1:] / grid.v[0]) > 0)
         for m1 in range(grid.m_max):
             for m2 in range(m1 + 1, grid.m_max + 1):
                 vp = pairwise_variance_v(small_heat, spec, grid.alphas[m1], grid.alphas[m2], grid.sigma)
