@@ -15,14 +15,17 @@ candidate alphas and variances v.  It also draws
 ``mc_sample_quadratic_form`` samples under each tree for the quantile-mc
 pairs and compares them bit for bit, and runs ``solit reconstruct`` for a
 fixed set of cases under each tree and prints each tree's chosen candidate
-index.  NEW_SRC's sweeps run a second time in a child interpreter pinned to
-one CPU of its affinity set, so that they score their noise levels on the
-calling thread alone; their histograms, MSEs, cell values and grids must
-equal those of the run on every CPU exactly.  It exits with status 1 when a
+index.  Each tree also writes every sweep with its own ``write_results``,
+and the written files are compared byte for byte.  NEW_SRC's sweeps run a
+second time in a child interpreter pinned to one CPU of its affinity set,
+so that they score their noise levels on the calling thread alone; their
+histograms, MSEs, cell values and grids must equal those of the run on
+every CPU exactly.  It exits with status 1 when a
 histogram differs, an MSE or a cell value moves by more than ``MSE_RTOL``
 (1e-14 relative), a grid differs in any bit, a pair's draws differ, a
-reconstruct pick differs, or the single-CPU sweeps differ from NEW_SRC's
-sweeps on every CPU in anything.
+reconstruct pick differs, a written file differs, or the single-CPU sweeps
+differ from NEW_SRC's sweeps on every CPU in anything.  The single-CPU run
+writes no files: its meta.json records one cell thread.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -56,6 +59,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 SPANS = {
     "antiderivative": (3e-2, 1e-5),
@@ -119,25 +123,37 @@ def label(cell: dict) -> str:
     return f"{cell['problem']}{size}/{cell['filter_kind']}/seed={cell['seed']}"
 
 
+def written_files(result, write_results) -> dict:
+    """The SHA-256 of every file ``write_results`` writes for one sweep, by
+    file name."""
+    with tempfile.TemporaryDirectory() as out:
+        write_results(result, out)
+        digests = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        return digests
+
+
 def dump(one_cpu: bool) -> None:
     """Run every sweep and draw every pair with the solit on the path; print
-    the cells, one list per sweep, the labelled draw digests and the
-    reconstruct picks as one JSON object.  A cell holds each selector's
-    histogram, MSE and stderr, its other values and its grid.  With
-    ``one_cpu`` the process first pins itself to one CPU of its affinity set
-    and runs the sweeps only."""
+    the cells, one list per sweep, the digests of each sweep's written files,
+    the labelled draw digests and the reconstruct picks as one JSON object.
+    A cell holds each selector's histogram, MSE and stderr, its other values
+    and its grid.  With ``one_cpu`` the process first pins itself to one CPU
+    of its affinity set and runs the sweeps only."""
     if one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import numpy as np
 
     import solit
-    from solit import ExperimentConfig, run_experiment
+    from solit import ExperimentConfig, run_experiment, write_results
     from solit.genchi2 import mc_sample_quadratic_form
 
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     from workloads import QUANTILE_DRAWS, quantile_pairs
 
-    sweeps = []
+    sweeps, files = [], []
     for cell in cells():
         cfg = ExperimentConfig(theta=2.0, beta=1.0, gamma=1.0, sigma_count=8, runs=RUNS, **cell)
         result = run_experiment(cfg)
@@ -147,6 +163,8 @@ def dump(one_cpu: bool) -> None:
              "grid": [c.grid.alphas.tolist(), c.grid.v.tolist()]}
             for c in result.cells
         ])
+        if not one_cpu:
+            files.append(written_files(result, write_results))
     if one_cpu:
         json.dump({"sweeps": sweeps}, sys.stdout)
         return
@@ -157,7 +175,7 @@ def dump(one_cpu: bool) -> None:
             z = mc_sample_quadratic_form(w, QUANTILE_DRAWS, seed)
             draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest()])
     picks = [reconstruct_pick(solit, *case) for case in reconstruct_cases()]
-    json.dump({"sweeps": sweeps, "draws": draws, "picks": picks}, sys.stdout)
+    json.dump({"sweeps": sweeps, "files": files, "draws": draws, "picks": picks}, sys.stdout)
 
 
 def start(src: str, one_cpu: bool = False) -> subprocess.Popen:
@@ -265,6 +283,11 @@ def main(argv=None) -> int:
         name = "{}/{}/sigma={}/seed={}".format(*case)
         print(f"{name:36} {a:4d} {b:4d}{'  differs' if a != b else ''}")
     picks_differ = sum(a != b for a, b in zip(old["picks"], new["picks"]))
+    file_pairs = [(f"{label(cell)}/{name}", a.get(name), b.get(name))
+                  for cell, a, b in zip(cells(), old["files"], new["files"]) for name in sorted(a.keys() | b.keys())]
+    files_differ = [key for key, a, b in file_pairs if a != b]
+    for key in files_differ:
+        print(f"result file differs: {key}")
     for prefix, c in (("", counts), ("single-CPU ", single)):
         print(f"{prefix}histograms differing: {c['histograms differing']} of {c['histograms']}")
         print(f"{prefix}worst relative MSE difference: {c['worst MSE']:.2e}")
@@ -273,8 +296,9 @@ def main(argv=None) -> int:
         print(f"{prefix}grids differing: {c['grids differing']} of {c['grids']}")
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
     print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")
+    print(f"result files differing: {len(files_differ)} of {len(file_pairs)}")
     moved = differs(counts, MSE_RTOL) or differs(single, 0.0)
-    return 1 if moved or draws_differ or picks_differ else 0
+    return 1 if moved or draws_differ or picks_differ or files_differ else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .candidates import (
 from .errors import ConfigurationError, InvalidParameterError
 from .filters import (
     FilterSpec,
-    ValidationReport,
     filter_weight,
     validate_ordered_filter,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "InvalidParameterError",
     "SpectralProblem",
     "ThresholdTable",
-    "ValidationReport",
     "antiderivative_problem",
     "build_grid",
     "build_thresholds",

@@ -121,8 +121,9 @@ class CandidateGrid:
     """Decreasing candidates with geometrically growing variances.
 
     ``v`` holds v_m = sigma^2 * V(alpha_m); ratios v_m / v_{m-1} lie in
-    [theta1, theta2].  ``theta2`` may exceed the requested value when a
-    discrete admissible set forces an overshoot (``theta2_enlarged``).
+    [theta1, theta2].  ``theta2`` may exceed ``theta2_requested`` when a
+    discrete admissible set forces an overshoot; ``theta2_enlarged`` is
+    derived from the two, not stored.
     """
 
     alphas: np.ndarray
@@ -131,7 +132,6 @@ class CandidateGrid:
     theta2: float
     sigma: float
     theta2_requested: float = math.nan
-    theta2_enlarged: bool = False
     truncation_tail_ratio: float = math.nan
 
     def __post_init__(self):
@@ -147,6 +147,11 @@ class CandidateGrid:
         v.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "v", v)
+
+    @property
+    def theta2_enlarged(self) -> bool:
+        """Whether the spectrum forced theta2 past the requested bound."""
+        return self.theta2 > self.theta2_requested
 
     @property
     def m_max(self) -> int:
@@ -270,7 +275,6 @@ def build_grid(
                 theta2=theta2s[m],
                 sigma=s,
                 theta2_requested=theta2_req,
-                theta2_enlarged=theta2s[m] > theta2_req,
                 truncation_tail_ratio=tail_ratio,
             )
         )

@@ -103,30 +103,19 @@ def filter_weight(spec: FilterSpec, alpha: float, lam):
     return float(q) if scalar else q
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the ordered-filter axiom checks on a sample grid."""
-
-    n_points: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate_ordered_filter(
     spec: FilterSpec,
     alpha_samples,
     lam_samples,
     weight_fn=None,
-) -> ValidationReport:
-    """Check the ordered-filter axioms on a finite sample grid.
+) -> tuple[str, ...]:
+    """Check the ordered-filter axioms on a finite sample grid; returns the
+    violations, empty when the axioms hold.
 
     Checks, for every sampled (alpha, lambda): q >= 0, alpha*q <= 1,
     lambda*q <= 1, and that q is pointwise non-increasing as alpha grows,
     each up to ``_AXIOM_TOL``.
-    Violations are collected in the report rather than raised.  ``weight_fn``
+    Violations are collected rather than raised.  ``weight_fn``
     overrides the built-in weight evaluation (useful to probe a deliberately
     corrupted filter against the same axioms).
     """
@@ -150,4 +139,4 @@ def validate_ordered_filter(
         if prev_q is not None and np.any(q < prev_q - _AXIOM_TOL):
             violations.append(f"ordering violated between alpha={a:g} and the previous alpha")
         prev_q = q
-    return ValidationReport(n_points=alphas.size * lams.size, violations=tuple(violations))
+    return tuple(violations)

@@ -38,12 +38,15 @@ of its own, so the cells are scored on the CPUs of the process's affinity set
 (``parallel.map_on_cpus``), the calling thread included, deepest noise level
 (most candidates) first.  Problem, grid, thresholds and serialization stay on
 the calling thread.  Everything is reproducible from the master seed, bit for
-bit for any CPU count.
+bit for any CPU count.  ``read_results`` reads a written sweep back against
+its config and meta.json grids, matching rows by position; derived values
+written beside them (poa, theta2_enlarged) are recomputed, not read.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -113,6 +116,8 @@ class ExperimentConfig:
         for name, kind in typing.get_type_hints(ExperimentConfig).items():
             setattr(self, name, typed_option(name, getattr(self, name), kind))
         self.problem_params = typed_problem_params(self.problem, self.problem_params)
+        if not self.selectors:
+            raise InvalidParameterError("a sweep needs at least one selector")
         unknown = set(self.selectors) - set(SELECTOR_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown selectors: {sorted(unknown)}")
@@ -143,18 +148,24 @@ class SelectorSummary:
 
 @dataclass
 class SigmaCell:
+    """One noise level of a sweep; its sigma and price of adaptation are derived, not stored."""
+
     grid: CandidateGrid
     m_star: int
     r_mstar: float
     c1: float
     c2: float
-    poa: float
     selectors: dict[str, SelectorSummary]
 
     @property
     def sigma(self) -> float:
         """The cell's noise level, its grid's."""
         return self.grid.sigma
+
+    @property
+    def poa(self) -> float:
+        """The price of adaptation (sqrt(R_{m*}) + C2)^2."""
+        return price_of_adaptation(self.r_mstar, self.c2)
 
 
 @dataclass
@@ -255,8 +266,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             summaries[name] = SelectorSummary(mse=math.fsum(vals) / config.runs, stderr=stderr,
                                               histogram=np.bincount(idx, minlength=mm + 1))
         r_mstar = math.fsum(err_sq[:, m_star]) / config.runs
-        return SigmaCell(grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2,
-                         poa=price_of_adaptation(r_mstar, c2), selectors=summaries)
+        return SigmaCell(grid=grid, m_star=int(m_star), r_mstar=r_mstar, c1=c1, c2=c2, selectors=summaries)
 
     # the deepest noise levels have the most candidates and cost the most, so
     # they are handed out first; each cell lands in its noise level's slot
@@ -287,46 +297,19 @@ def fit_rate(sigmas, mses, model: str) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-@dataclass(frozen=True)
-class OracleInequalityRow:
-    sigma: float
-    mse_solit: float
-    bound: float
-    margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.margin >= 0.0
-
-
-@dataclass(frozen=True)
-class OracleInequalityReport:
-    rows: tuple[OracleInequalityRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def verify_oracle_inequality(result: ExperimentResult) -> OracleInequalityReport:
-    """Check MSE(solit) <= C1 R_{m*} + (sqrt(R_{m*}) + C2)^2 per noise level,
-    with 3 combined standard errors of Monte Carlo slack."""
-    rows = []
+def verify_oracle_inequality(result: ExperimentResult) -> np.ndarray:
+    """One margin per noise level of MSE(solit) <= C1 R_{m*} + (sqrt(R_{m*}) + C2)^2
+    with 3 combined standard errors of Monte Carlo slack, C1 R_{m*} + poa +
+    3 sqrt(stderr_solit^2 + stderr_oracle^2) - MSE(solit); it holds where >= 0."""
+    margins = []
     for cell in result.cells:
         if "solit" not in cell.selectors or "oracle" not in cell.selectors:
-            raise InvalidParameterError(
-                "oracle-inequality verification needs both solit and oracle rows"
-            )
+            raise InvalidParameterError("oracle-inequality verification needs both solit and oracle rows")
         sol = cell.selectors["solit"]
         orc = cell.selectors["oracle"]
         slack = 3.0 * math.sqrt(sol.stderr**2 + orc.stderr**2)
-        bound = cell.c1 * cell.r_mstar + price_of_adaptation(cell.r_mstar, cell.c2) + slack
-        rows.append(
-            OracleInequalityRow(
-                sigma=cell.sigma, mse_solit=sol.mse, bound=bound, margin=bound - sol.mse
-            )
-        )
-    return OracleInequalityReport(rows=tuple(rows))
+        margins.append(cell.c1 * cell.r_mstar + cell.poa + slack - sol.mse)
+    return np.asarray(margins, dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -334,11 +317,13 @@ def verify_oracle_inequality(result: ExperimentResult) -> OracleInequalityReport
 # --------------------------------------------------------------------------
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# the columns of the results files and the types read_results reads them as
+# the columns of the results files and the types read_results reads them as;
+# results.csv also ends in the derived poa, which is written but not read
 RESULTS_COLUMNS = {"sigma": float, "selector": str, "mse": float, "stderr": float, "m_star": int,
-                   "R_mstar": float, "C1": float, "C2": float, "poa": float}
+                   "R_mstar": float, "C1": float, "C2": float}
 SELECTIONS_COLUMNS = {"sigma": float, "selector": str, "index": int, "count": int}
 GRID_COLUMNS = {"alpha": float, "v_m": float}
+# the grid fields meta.json holds, in the order written; all but theta2_enlarged are read back
 GRID_META_KEYS = ("sigma", "theta1", "theta2", "theta2_requested", "theta2_enlarged", "truncation_tail_ratio")
 
 
@@ -355,7 +340,7 @@ def write_results(result: ExperimentResult, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
+        writer.writerow([*RESULTS_COLUMNS, "poa"])
         for cell in result.cells:
             for name in result.config.selectors:
                 s = cell.selectors[name]
@@ -421,28 +406,28 @@ def _csv_rows(path: str, columns: dict) -> list[dict]:
         return rows
 
 
-def _grid_meta(ginfo: dict, where: str) -> dict:
-    """The CandidateGrid fields of a meta.json grid entry: theta2_enlarged a
-    bool, the others numbers (a null tail ratio reads as NaN)."""
-    fields = {}
-    for key in GRID_META_KEYS:
-        value = ginfo[key]
-        if key == "truncation_tail_ratio" and value is None:
-            value = math.nan
-        flag = key == "theta2_enlarged"
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (isinstance(value, bool) if flag else number):
-            raise InvalidParameterError(
-                f"{where}: {key!r} holds {value!r}, not {'true or false' if flag else 'a number'}"
-            )
-        fields[key] = value
-    return fields
+def _grid_meta(ginfo, where: str) -> dict:
+    """The CandidateGrid fields of meta.json grid entry ``where``: the first
+    four finite floats by ``errors.typed_option``'s rule, and the tail ratio
+    any number, inf included (a null reads as NaN)."""
+    keys = ("sigma", "theta1", "theta2", "theta2_requested", "truncation_tail_ratio")
+    if not (isinstance(ginfo, dict) and set(keys) <= ginfo.keys()):
+        raise InvalidParameterError(f"{where} needs the keys {list(keys)}")
+    try:
+        fields = {key: typed_option(key, ginfo[key], float) for key in keys[:-1]}
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{where}: {exc}") from None
+    tail = math.nan if ginfo["truncation_tail_ratio"] is None else ginfo["truncation_tail_ratio"]
+    if type(tail) not in (int, float):  # exactly: a bool is no number here
+        raise InvalidParameterError(f"{where}: 'truncation_tail_ratio' holds {tail!r}, not a number")
+    return {**fields, "truncation_tail_ratio": tail}
 
 
 def read_results(path: str) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a directory written by
-    ``write_results``.  The noise levels of results.csv take the grids of
-    meta.json in order, and each must equal its grid's sigma."""
+    ``write_results``: ``sigma_count`` grids, one results.csv row per grid and
+    selector in that order (a grid's rows agreeing on m_star, R_mstar, C1 and
+    C2) and histograms of ``runs`` runs each.  Derived values are not read."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         try:
@@ -462,41 +447,45 @@ def read_results(path: str) -> ExperimentResult:
     except (TypeError, InvalidParameterError) as exc:  # an unknown field, or a value of the wrong type
         raise InvalidParameterError(f"{meta_path} holds no valid config: {exc}") from None
 
+    if len(meta["grids"]) != config.sigma_count:
+        raise InvalidParameterError(f"{meta_path} holds {len(meta['grids'])} grids for {config.sigma_count} sigmas")
     grids = []
     for i, ginfo in enumerate(meta["grids"]):
-        if not (isinstance(ginfo, dict) and set(GRID_META_KEYS) <= ginfo.keys()):
-            raise InvalidParameterError(f"{meta_path} grid entry {i} needs the keys {list(GRID_META_KEYS)}")
         fields = _grid_meta(ginfo, f"{meta_path} grid entry {i}")
         rows = _csv_rows(os.path.join(path, f"grid_{i:03d}.csv"), GRID_COLUMNS)
-        grids.append(
-            CandidateGrid(
-                alphas=np.asarray([row["alpha"] for row in rows]),
-                v=np.asarray([row["v_m"] for row in rows]),
-                **fields,
-            )
-        )
+        grids.append(CandidateGrid(alphas=np.asarray([row["alpha"] for row in rows]),
+                                   v=np.asarray([row["v_m"] for row in rows]), **fields))
 
-    by_sigma: dict[float, SigmaCell] = {}
     results_path = os.path.join(path, "results.csv")
-    for row in _csv_rows(results_path, RESULTS_COLUMNS):
-        sig, i = row["sigma"], len(by_sigma)
-        if sig not in by_sigma:
-            if i == len(grids):
-                raise InvalidParameterError(f"{results_path} has more noise levels than {meta_path} has grids")
-            if sig != grids[i].sigma:
-                raise InvalidParameterError(f"{results_path} noise level {i} is {sig!r}, "
-                                            f"not the sigma {grids[i].sigma!r} of {meta_path} grid entry {i}")
-            by_sigma[sig] = SigmaCell(grid=grids[i], m_star=row["m_star"], r_mstar=row["R_mstar"], c1=row["C1"],
-                                      c2=row["C2"], poa=row["poa"], selectors={})
-        cell = by_sigma[sig]
-        cell.selectors[row["selector"]] = SelectorSummary(
-            mse=row["mse"], stderr=row["stderr"], histogram=np.zeros(cell.grid.m_max + 1, dtype=int))
+    rows = _csv_rows(results_path, RESULTS_COLUMNS)
+    expected = [(grid.sigma, name) for grid in grids for name in config.selectors]
+    found = [(row["sigma"], row["selector"]) for row in rows]
+    for line, (want, got) in enumerate(itertools.zip_longest(expected, found, fillvalue="the end of the file"), 2):
+        if want != got:
+            raise InvalidParameterError(f"{results_path} line {line}: expected (sigma, selector) {want}, found {got}; "
+                                        f"the rows go grid by grid of {meta_path}, selectors in the config's order")
+    k = len(config.selectors)
+    cells = []
+    for i, grid in enumerate(grids):
+        cell_rows = rows[i * k : (i + 1) * k]
+        values = {(row["m_star"], row["R_mstar"], row["C1"], row["C2"]) for row in cell_rows}
+        if len(values) > 1:
+            raise InvalidParameterError(f"{results_path} lines {i * k + 2}-{i * k + k + 1}, the noise level "
+                                        f"{grid.sigma!r}, disagree on m_star, R_mstar, C1 or C2")
+        cells.append(SigmaCell(grid, *values.pop(), selectors={
+            row["selector"]: SelectorSummary(row["mse"], row["stderr"], np.zeros(grid.m_max + 1, dtype=int))
+            for row in cell_rows}))
+
+    summaries = {(cell.sigma, name): summary for cell in cells for name, summary in cell.selectors.items()}
     selections_path = os.path.join(path, "selections.csv")
     for row in _csv_rows(selections_path, SELECTIONS_COLUMNS):
-        cell = by_sigma.get(row["sigma"])
-        summary = cell.selectors.get(row["selector"]) if cell else None
+        summary = summaries.get((row["sigma"], row["selector"]))
         index = row["index"]
         if summary is None or not 0 <= index < summary.histogram.size:
             raise InvalidParameterError(f"{selections_path} row {row} matches no histogram of {results_path}")
         summary.histogram[index] = row["count"]
-    return ExperimentResult(config=config, cells=list(by_sigma.values()))
+    for cell, name in itertools.product(cells, config.selectors):
+        if (total := cell.selectors[name].histogram.sum()) != config.runs:
+            raise InvalidParameterError(f"{selections_path} counts {total} runs of {name!r} at the noise level "
+                                        f"{cell.sigma!r}, not the config's {config.runs}")
+    return ExperimentResult(config=config, cells=cells)

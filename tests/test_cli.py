@@ -186,6 +186,7 @@ class TestErrors:
             ("candidates", "--problem", "antiderivative", "--t-bar", "0.1", "--sigma", "1e-3"),
             ("simulate", "--seed", "-1"),
             ("simulate", "--selectors", "solit,solit"),  # a selector named twice
+            ("simulate", "--problem", "heat", "--n", "12", "--selectors", ""),  # no selector
             ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--seed", "-1"),
             # too few samples, found after the grid is built: no CSV header either
             ("quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--mc-samples", "10"),
@@ -213,7 +214,7 @@ class TestErrors:
         (tmp_path / "invalid.json").write_text("{not json")
         (tmp_path / "results").mkdir()
         (tmp_path / "results" / "meta.json").write_text("{x")
-        config = asdict(ExperimentConfig(problem="heat", filter_kind="tikhonov", selectors=()))
+        config = asdict(ExperimentConfig(problem="heat", filter_kind="tikhonov"))
         records = {
             "empty": {},
             "list": [1],
@@ -243,12 +244,13 @@ class TestErrors:
         ({"selectors": 5}, "option 'selectors' must be of type list of names, not 5"),
         ({"selectors": ["solit", 1]}, "option 'selectors' must be"),
         ({"selectors": ["solit", "lepskii", "solit"]}, "repeated selectors: ['solit']"),
+        ({"selectors": []}, "a sweep needs at least one selector"),
         ([1, 2], "must hold a JSON object, not [1, 2]"),
         ({"n": 2.7}, "option 'n' must be of type int, not 2.7"),
         ({"t_bar": "0.1", "problem": "heat"}, "option 't_bar' must be of type float, not '0.1'"),
     ],
-    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "selectors-repeated", "list", "n-fraction",
-         "t-bar-string"],
+    ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "selectors-repeated", "selectors-empty", "list",
+         "n-fraction", "t-bar-string"],
 )
 def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -409,6 +411,34 @@ def _set_cell(path, line, column, value):
         writer.writerows(rows)
 
 
+def _drop_rows(path, drop):
+    """Rewrite a CSV file without the rows for which ``drop(row)`` holds."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [row for row in reader if not drop(row)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _drop_from_both(directory, drop):
+    for name in ("results.csv", "selections.csv"):
+        _drop_rows(directory / name, drop)
+
+
+def _drop_last_noise_level(directory):
+    with open(directory / "results.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]["sigma"]
+    _drop_from_both(directory, lambda row: row["sigma"] == last)
+
+
+def _drop_last_grid(path):
+    meta = json.loads(path.read_text())
+    meta["grids"].pop()
+    path.write_text(json.dumps(meta))
+
+
 def _set_grid_value(path, entry, key, value):
     meta = json.loads(path.read_text())
     meta["grids"][entry][key] = value
@@ -426,7 +456,7 @@ class TestIncompleteResults:
     def written(self, tmp_path_factory):
         out_dir = tmp_path_factory.mktemp("complete") / "res"
         argv = ["simulate", "--problem", "antiderivative", "--n", "64", "--filter", "tikhonov",
-                "--runs", "4", "--sigma-start", "1e-2", "--sigma-stop", "1e-3", "--sigma-count", "3",
+                "--runs", "4", "--sigma-start", "1e-2", "--sigma-stop", "1e-3", "--sigma-count", "8",
                 "--seed", "7", "--out", str(out_dir)]
         assert main(argv) == 0
         assert main(["rates", "--in", str(out_dir), "--model", "poly"]) == 0
@@ -437,14 +467,25 @@ class TestIncompleteResults:
         [
             (lambda d: _empty_grid_entries(d / "meta.json"), "grid entry 0 needs the keys"),
             (lambda d: _drop_column(d / "grid_001.csv", "v_m"), "grid_001.csv lacks the columns ['v_m']"),
-            (lambda d: _drop_column(d / "results.csv", "poa"), "results.csv lacks the columns ['poa']"),
+            (lambda d: _drop_column(d / "results.csv", "C2"), "results.csv lacks the columns ['C2']"),
             (lambda d: _drop_column(d / "selections.csv", "count"),
              "selections.csv lacks the columns ['count']"),
-            (lambda d: _extra_noise_level(d / "results.csv"), "more noise levels than"),
+            (lambda d: _extra_noise_level(d / "results.csv"),
+             "results.csv line 42: expected (sigma, selector) the end of the file, found (1.0, 'solit')"),
+            (lambda d: _drop_last_noise_level(d),
+             "results.csv line 37: expected (sigma, selector) (0.001, 'solit'), found the end of the file"),
+            (lambda d: _drop_from_both(d, lambda row: row["selector"] == "optimal"),
+             "results.csv line 5: expected (sigma, selector) (0.01, 'optimal'), found (0.01, 'noise-level')"),
+            (lambda d: _set_cell(d / "results.csv", 3, "m_star", "99"),
+             "results.csv lines 2-6, the noise level 0.01, disagree on m_star, R_mstar, C1 or C2"),
+            (lambda d: _drop_rows(d / "selections.csv",
+                                  lambda row: row["sigma"] == "0.01" and row["selector"] == "solit"),
+             "selections.csv counts 0 runs of 'solit' at the noise level 0.01, not the config's 4"),
+            (lambda d: _drop_last_grid(d / "meta.json"), "meta.json holds 7 grids for 8 sigmas"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "bogus", "0", "1"]), "matches no histogram"),
             (lambda d: _append_row(d / "selections.csv", ["0.01", "solit", "99", "1"]), "matches no histogram"),
             (lambda d: _replace_noise_level(d, "0.01", "0.02"),
-             "results.csv noise level 0 is 0.02, not the sigma 0.01 of"),
+             "results.csv line 2: expected (sigma, selector) (0.01, 'solit'), found (0.02, 'solit')"),
             (lambda d: _set_cell(d / "results.csv", 3, "mse", "abc"),
              "results.csv line 3: column 'mse' holds 'abc', not a finite number"),
             (lambda d: _set_cell(d / "results.csv", 3, "mse", "nan"),
@@ -466,20 +507,24 @@ class TestIncompleteResults:
             (lambda d: _set_cell(d / "grid_001.csv", 3, "v_m", "nan"),
              "grid_001.csv line 3: column 'v_m' holds 'nan', not a finite number"),
             (lambda d: _set_grid_value(d / "meta.json", 1, "theta1", "x"),
-             "grid entry 1: 'theta1' holds 'x', not a number"),
+             "grid entry 1: option 'theta1' must be of type float, not 'x'"),
+            (lambda d: _set_grid_value(d / "meta.json", 1, "theta1", math.nan),
+             "grid entry 1: option 'theta1' must be of type float, not nan"),
             (lambda d: _set_grid_value(d / "meta.json", 0, "sigma", [0.01]),
-             "grid entry 0: 'sigma' holds [0.01], not a number"),
+             "grid entry 0: option 'sigma' must be of type float, not [0.01]"),
             (lambda d: _set_grid_value(d / "meta.json", 2, "theta2", True),
-             "grid entry 2: 'theta2' holds True, not a number"),
-            (lambda d: _set_grid_value(d / "meta.json", 0, "theta2_enlarged", "no"),
-             "grid entry 0: 'theta2_enlarged' holds 'no', not true or false"),
+             "grid entry 2: option 'theta2' must be of type float, not True"),
+            (lambda d: _set_grid_value(d / "meta.json", 2, "theta2", math.inf),
+             "grid entry 2: option 'theta2' must be of type float, not inf"),
             (lambda d: _set_grid_value(d / "meta.json", 0, "truncation_tail_ratio", "small"),
              "grid entry 0: 'truncation_tail_ratio' holds 'small', not a number"),
         ],
-        ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "unknown-selector",
+        ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "missing-last-sigma",
+             "missing-selector", "cell-values-disagree", "missing-histogram", "fewer-grids", "unknown-selector",
              "index-out-of-range", "sigma-not-the-grids", "results-mse", "results-mse-nan", "results-sigma-inf",
              "results-m-star", "results-sigma", "selections-count", "selections-index", "grid-alpha", "grid-v",
-             "grid-v-nan", "meta-theta1", "meta-sigma", "meta-theta2-bool", "meta-enlarged", "meta-tail-ratio"],
+             "grid-v-nan", "meta-theta1", "meta-theta1-nan", "meta-sigma", "meta-theta2-bool", "meta-theta2-inf",
+             "meta-tail-ratio"],
     )
     def test_one_line_and_exit_code_2(self, written, tmp_path, capsys, damage, message):
         broken = tmp_path / "res"
