@@ -16,16 +16,18 @@ candidate alphas and variances v.  It also draws
 pairs and compares them bit for bit, and runs ``solit reconstruct`` for a
 fixed set of cases under each tree and prints each tree's chosen candidate
 index.  Each tree also writes every sweep with its own ``write_results``,
-and the written files are compared byte for byte.  NEW_SRC's sweeps run a
-second time in a child interpreter pinned to one CPU of its affinity set,
-so that they score their noise levels on the calling thread alone; their
-histograms, MSEs, cell values and grids must equal those of the run on
-every CPU exactly.  It exits with status 1 when a
+and the written files are compared byte for byte.  NEW_SRC's sweeps, draws
+and reconstruct picks run a second time in a child interpreter pinned to one
+CPU of its affinity set, which must run them serially on its calling thread:
+the child counts the ``threading.Thread.start`` calls they make and prints
+the count.  Their histograms, MSEs, cell values, grids, draws and picks must
+equal those of the run on every CPU exactly.  It exits with status 1 when a
 histogram differs, an MSE or a cell value moves by more than ``MSE_RTOL``
 (1e-14 relative), a grid differs in any bit, a pair's draws differ, a
-reconstruct pick differs, a written file differs, or the single-CPU sweeps
-differ from NEW_SRC's sweeps on every CPU in anything.  The single-CPU run
-writes no files: its meta.json records one cell thread.
+reconstruct pick differs, a written file differs, the single-CPU child
+started a thread, or its outputs differ from NEW_SRC's on every CPU in
+anything.  The single-CPU run writes no files: its meta.json records one cell
+thread.
 
 The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
   - the 3 problems x 4 filters, without heat/landweber, at the acceptance
@@ -141,9 +143,12 @@ def dump(one_cpu: bool) -> None:
     the labelled draw digests and the reconstruct picks as one JSON object.
     A cell holds each selector's histogram, MSE and stderr, its other values
     and its grid.  With ``one_cpu`` the process first pins itself to one CPU
-    of its affinity set and runs the sweeps only."""
+    of its affinity set, writes no files and prints, in place of their
+    digests, how many threads the sweeps, draws and picks started."""
     if one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    import threading
+
     import numpy as np
 
     import solit
@@ -153,6 +158,14 @@ def dump(one_cpu: bool) -> None:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     from workloads import QUANTILE_DRAWS, quantile_pairs
 
+    started = []
+    start_thread = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start_thread(thread)
+
+    threading.Thread.start = counting_start
     sweeps, files = [], []
     for cell in cells():
         cfg = ExperimentConfig(theta=2.0, beta=1.0, gamma=1.0, sigma_count=8, runs=RUNS, **cell)
@@ -165,9 +178,6 @@ def dump(one_cpu: bool) -> None:
         ])
         if not one_cpu:
             files.append(written_files(result, write_results))
-    if one_cpu:
-        json.dump({"sweeps": sweeps}, sys.stdout)
-        return
     draws = []
     for master in DRAW_MASTERS:
         for index, (key, w) in enumerate(quantile_pairs(solit)):
@@ -175,7 +185,8 @@ def dump(one_cpu: bool) -> None:
             z = mc_sample_quadratic_form(w, QUANTILE_DRAWS, seed)
             draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest()])
     picks = [reconstruct_pick(solit, *case) for case in reconstruct_cases()]
-    json.dump({"sweeps": sweeps, "files": files, "draws": draws, "picks": picks}, sys.stdout)
+    extra = {"threads started": len(started)} if one_cpu else {"files": files}
+    json.dump({"sweeps": sweeps, "draws": draws, "picks": picks, **extra}, sys.stdout)
 
 
 def start(src: str, one_cpu: bool = False) -> subprocess.Popen:
@@ -297,7 +308,10 @@ def main(argv=None) -> int:
     print(f"draw sets differing: {len(draws_differ)} of {len(old['draws'])}")
     print(f"reconstruct picks differing: {picks_differ} of {len(old['picks'])}")
     print(f"result files differing: {len(files_differ)} of {len(file_pairs)}")
-    moved = differs(counts, MSE_RTOL) or differs(single, 0.0)
+    single_moved = one_cpu["draws"] != new["draws"] or one_cpu["picks"] != new["picks"]
+    print(f"single-CPU draws and reconstruct picks: {'differ' if single_moved else 'equal'}")
+    print(f"single-CPU threads started: {one_cpu['threads started']}")
+    moved = differs(counts, MSE_RTOL) or differs(single, 0.0) or single_moved or one_cpu["threads started"]
     return 1 if moved or draws_differ or picks_differ or files_differ else 0
 
 

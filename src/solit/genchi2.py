@@ -204,7 +204,7 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
 
     The blocks are split into contiguous runs, one per CPU of the process's
     affinity set (never more runs than blocks), which ``parallel.map_on_cpus``
-    draws one per thread, the first on the calling thread.  Each run's
+    draws one per thread of its pool (serially for one run).  Each run's
     generator is advanced to the run's first word, ``start * k / 2``.  The
     words, the blocks and the arithmetic are those of one serial pass, so the
     draws do not depend on the CPU count.

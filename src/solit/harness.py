@@ -34,13 +34,14 @@ runs would all be rejected are skipped, and the picks do not change.
 Blocks hold ``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the
 number of runs.  Each noise level is one cell (``score_cell`` in
 ``run_experiment``): it reads only the sweep's tables and writes only arrays
-of its own, so the cells are scored on the CPUs of the process's affinity set
-(``parallel.map_on_cpus``), the calling thread included, deepest noise level
-(most candidates) first.  Problem, grid, thresholds and serialization stay on
-the calling thread.  Everything is reproducible from the master seed, bit for
-bit for any CPU count.  ``read_results`` reads a written sweep back against
-its config and meta.json grids, matching rows by position; derived values
-written beside them (poa, theta2_enlarged) are recomputed, not read.
+of its own, so ``parallel.map_on_cpus`` scores the cells on a pool of at most
+one thread per CPU of the process's affinity set (serially for one CPU or one
+noise level), deepest noise level (most candidates) first.  Problem, grid,
+thresholds and serialization stay on the calling thread.  Everything is
+reproducible from the master seed, bit for bit for any CPU count.
+``read_results`` reads a written sweep back against its config and meta.json
+grids, matching rows by position; derived values written beside them (poa,
+theta2_enlarged) are recomputed, not read.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ class ExperimentConfig:
             raise InvalidParameterError("need sigma_start > sigma_stop > 0")
         if self.sigma_count < 1:
             raise InvalidParameterError("sigma_count must be positive")
+        # the messages of build_grid, build_thresholds and lepskii_limits, which check them again
+        if not self.theta > 1:
+            raise InvalidParameterError("theta must be finite and exceed 1")
+        if not (self.beta > 0 and self.gamma > 0):
+            raise InvalidParameterError("beta and gamma must be finite and positive")
+        if not self.kappa_tune >= 1:
+            raise InvalidParameterError("kappa_tune must be finite and at least 1")
 
     def sigma_grid(self) -> np.ndarray:
         """Strictly decreasing geometric noise-level grid (sigma_start alone
@@ -226,10 +234,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         u_star = sigma**2 * float(thresholds.w_sq[m_star].max())  # sigma^2 max_k lam_k q_{alpha_m*}(lam_k)^2
         c1, c2 = oracle_constants(grid, m_star, u_star, config.beta, config.gamma)
-        fixed_choices = {
-            "oracle": m_star,
-            "noise-level": noise_level_select(grid, sigma),
-        }
+        fixed_choices = {"oracle": m_star, "noise-level": noise_level_select(grid)}
 
         limits = {}
         if "solit" in config.selectors:
@@ -370,8 +375,8 @@ def write_results(result: ExperimentResult, path: str) -> None:
         },
         # numpy reads these once, when it loads; null when unset
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
-        # the threads run_experiment scores the cells on in this process, the
-        # calling one included; with BLAS threads of their own they oversubscribe
+        # the size of the pool run_experiment scores the cells on in this process
+        # (1: serially); with BLAS threads of their own they oversubscribe
         "cell_threads": min(cpu_count(), result.config.sigma_count),
         "block_elements": _BLOCK_ELEMENTS,
     }
@@ -427,7 +432,8 @@ def read_results(path: str) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a directory written by
     ``write_results``: ``sigma_count`` grids, one results.csv row per grid and
     selector in that order (a grid's rows agreeing on m_star, R_mstar, C1 and
-    C2) and histograms of ``runs`` runs each.  Derived values are not read."""
+    C2) and histograms of ``runs`` runs each, of counts in 1..runs.  Derived
+    values are not read."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         try:
@@ -483,6 +489,8 @@ def read_results(path: str) -> ExperimentResult:
         index = row["index"]
         if summary is None or not 0 <= index < summary.histogram.size:
             raise InvalidParameterError(f"{selections_path} row {row} matches no histogram of {results_path}")
+        if not 1 <= row["count"] <= config.runs:
+            raise InvalidParameterError(f"{selections_path} row {row}: count outside 1..{config.runs}")
         summary.histogram[index] = row["count"]
     for cell, name in itertools.product(cells, config.selectors):
         if (total := cell.selectors[name].histogram.sum()) != config.runs:

@@ -8,9 +8,8 @@ releases the GIL in its array loops and matrix products.
 
 from __future__ import annotations
 
-import itertools
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 
 def cpu_count() -> int:
@@ -20,39 +19,17 @@ def cpu_count() -> int:
 
 
 def map_on_cpus(fn, items) -> list:
-    """``[fn(item) for item in items]``, with the calls spread over the
-    calling thread and ``min(cpu_count(), len(items)) - 1`` worker threads.
-
-    The items are handed out in order: the first to the calling thread, the
-    next ones to one worker each, the rest one at a time to whichever thread
-    is free, through one locked iterator.  So no thread starts for one CPU or
-    one item.  Every worker has ended when the call returns.  If a call
-    raises, no further item is handed out and the first error is raised
-    again.  ``fn`` must write nothing that another item's call reads.
+    """``[fn(item) for item in items]``, in item order, with the calls spread
+    over a ``ThreadPoolExecutor`` of ``min(cpu_count(), len(items))`` threads;
+    for one CPU or one item they run on the calling thread and none starts.
+    Every thread has ended when the call returns.  If a call raises, the
+    first failing item's error in item order is raised again and the items
+    not started by then are cancelled.  ``fn`` must write nothing that
+    another item's call reads.
     """
     items = list(items)
-    results = [None] * len(items)
-    pending = iter(enumerate(items))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
-
-    def work(job) -> None:
-        try:
-            while job is not None and not failed:
-                results[job[0]] = fn(job[1])
-                with lock:
-                    job = next(pending, None)
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    first = next(pending, None)
-    workers = [threading.Thread(target=work, args=(job,))
-               for job in itertools.islice(pending, max(min(cpu_count(), len(items)) - 1, 0))]
-    for worker in workers:
-        worker.start()
-    work(first)
-    for worker in workers:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return results
+    threads = min(cpu_count(), len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))

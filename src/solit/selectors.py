@@ -252,11 +252,11 @@ def optimal_select(errors) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def noise_level_select(grid: CandidateGrid, sigma: float) -> int:
-    """Candidate whose alpha is closest to sigma on the log scale."""
-    if not 0 < sigma < math.inf:
+def noise_level_select(grid: CandidateGrid) -> int:
+    """Candidate whose alpha is closest to the grid's sigma on the log scale."""
+    if not 0 < grid.sigma < math.inf:
         raise InvalidParameterError("noise level must be positive and finite")
-    return int(np.argmin(np.abs(np.log(grid.alphas) - math.log(sigma))))
+    return int(np.argmin(np.abs(np.log(grid.alphas) - math.log(grid.sigma))))
 
 
 def oracle_constants(

@@ -101,7 +101,7 @@ def test_criterion_2_gradiometry_rate(sweeps):
         ok,
         f"gradiometry log slope {slope:.3f} (window [-4.0, -2.2]); "
         f"risk-floor selector gives {opt_slope:.3f}, so the window is out of "
-        f"reach of any rule on this noise span (see decisions ledger)",
+        f"reach of any rule on this noise span (see DECISIONS.md)",
     )
 
 
@@ -115,7 +115,7 @@ def test_criterion_3_heat_rate(sweeps):
         3,
         ok,
         f"heat log slope {slope:.3f} (window [-2.2, -1.0]); risk-floor "
-        f"selector gives {opt_slope:.3f} (see decisions ledger)",
+        f"selector gives {opt_slope:.3f} (see DECISIONS.md)",
     )
 
 

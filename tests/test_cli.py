@@ -248,9 +248,13 @@ class TestErrors:
         ([1, 2], "must hold a JSON object, not [1, 2]"),
         ({"n": 2.7}, "option 'n' must be of type int, not 2.7"),
         ({"t_bar": "0.1", "problem": "heat"}, "option 't_bar' must be of type float, not '0.1'"),
+        ({"theta": 1}, "theta must be finite and exceed 1"),
+        ({"beta": -1}, "beta and gamma must be finite and positive"),
+        ({"gamma": 0}, "beta and gamma must be finite and positive"),
+        ({"kappa_tune": 0.5}, "kappa_tune must be finite and at least 1"),
     ],
     ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "selectors-repeated", "selectors-empty", "list",
-         "n-fraction", "t-bar-string"],
+         "n-fraction", "t-bar-string", "theta-one", "beta-negative", "gamma-zero", "kappa-tune-below-one"],
 )
 def test_bad_config_values_are_one_line_errors(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -445,6 +449,29 @@ def _set_grid_value(path, entry, key, value):
     path.write_text(json.dumps(meta))
 
 
+def _set_config_value(path, key, value):
+    meta = json.loads(path.read_text())
+    meta["config"][key] = value
+    path.write_text(json.dumps(meta))
+
+
+def _negative_count_beside_a_raised_one(path):
+    """Raise the first selections.csv row's count by 7 and put a row counting
+    -7 runs at a free index of the same histogram before it, so the counts
+    still sum to the runs."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    first = rows[0]
+    used = {int(row["index"]) for row in rows if (row["sigma"], row["selector"]) == (first["sigma"], first["selector"])}
+    free = min(set(range(len(used) + 1)) - used)
+    rows[:1] = [{**first, "index": str(free), "count": "-7"}, {**first, "count": str(int(first["count"]) + 7)}]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _empty_grid_entries(path):
     meta = json.loads(path.read_text())
     meta["grids"] = [{} for _ in meta["grids"]]
@@ -518,13 +545,23 @@ class TestIncompleteResults:
              "grid entry 2: option 'theta2' must be of type float, not inf"),
             (lambda d: _set_grid_value(d / "meta.json", 0, "truncation_tail_ratio", "small"),
              "grid entry 0: 'truncation_tail_ratio' holds 'small', not a number"),
+            (lambda d: _set_cell(d / "selections.csv", 2, "count", str(2**70)),
+             f"'count': {2**70}}}: count outside 1..4"),
+            (lambda d: _set_cell(d / "selections.csv", 2, "count", "0"), "'count': 0}: count outside 1..4"),
+            (lambda d: _negative_count_beside_a_raised_one(d / "selections.csv"),
+             "'count': -7}: count outside 1..4"),
+            (lambda d: _set_config_value(d / "meta.json", "beta", -1),
+             "meta.json holds no valid config: beta and gamma must be finite and positive"),
+            (lambda d: _set_config_value(d / "meta.json", "kappa_tune", 0.25),
+             "meta.json holds no valid config: kappa_tune must be finite and at least 1"),
         ],
         ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "missing-last-sigma",
              "missing-selector", "cell-values-disagree", "missing-histogram", "fewer-grids", "unknown-selector",
              "index-out-of-range", "sigma-not-the-grids", "results-mse", "results-mse-nan", "results-sigma-inf",
              "results-m-star", "results-sigma", "selections-count", "selections-index", "grid-alpha", "grid-v",
              "grid-v-nan", "meta-theta1", "meta-theta1-nan", "meta-sigma", "meta-theta2-bool", "meta-theta2-inf",
-             "meta-tail-ratio"],
+             "meta-tail-ratio", "selections-count-huge", "selections-count-zero", "selections-count-negative",
+             "config-beta-negative", "config-kappa-tune-below-one"],
     )
     def test_one_line_and_exit_code_2(self, written, tmp_path, capsys, damage, message):
         broken = tmp_path / "res"

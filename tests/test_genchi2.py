@@ -1,7 +1,6 @@
 import inspect
 import math
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -330,25 +329,23 @@ class TestMcSampler:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
-    def test_runs_of_whole_blocks_first_on_calling_thread(self, cpus, monkeypatch):
+    def test_one_run_of_whole_blocks_per_cpu(self, cpus, monkeypatch):
         monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)  # 4 weights: blocks of 2 rows
         force_cpus(monkeypatch, cpus)
         calls = []
         fill = genchi2._fill_blocks
 
         def recording(z, a32, bitgen, start, stop, rows):
-            calls.append((start, stop, threading.get_ident()))
+            calls.append((start, stop))
             fill(z, a32, bitgen, start, stop, rows)
 
         monkeypatch.setattr(genchi2, "_fill_blocks", recording)
         mc_sample_quadratic_form([1.0, 3.0, 0.1, 2.0], 11, seed=3)  # 6 blocks
         calls.sort()
         assert len(calls) == min(cpus, 6)
-        assert [start for start, _, _ in calls] == [0] + [stop for _, stop, _ in calls[:-1]]
+        assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
         assert calls[-1][1] == 11
-        assert all(start % 2 == 0 for start, _, _ in calls)
-        assert calls[0][2] == threading.get_ident()
-        assert all(ident != threading.get_ident() for _, _, ident in calls[1:])
+        assert all(start % 2 == 0 for start, _ in calls)
 
     def test_error_in_a_later_worker_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", 10)

@@ -85,12 +85,12 @@ class TestFitRate:
                 fit_rate([0.1, 0.01, 0.001], [1.0, bad, 3.0], "log")
 
 
-class TestNonFiniteTuningRejected:
+class TestOutOfRangeTuningRejected:
     @pytest.mark.parametrize(
         "name, value",
-        [("theta", math.nan), ("theta", math.inf), ("beta", math.nan), ("beta", math.inf),
-         ("gamma", math.nan), ("gamma", math.inf), ("kappa_tune", math.nan),
-         ("kappa_tune", math.inf), ("sigma_start", math.inf), ("sigma_stop", math.nan),
+        [("theta", math.nan), ("theta", math.inf), ("theta", 1.0), ("beta", math.nan), ("beta", math.inf),
+         ("beta", -1.0), ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.0), ("kappa_tune", math.nan),
+         ("kappa_tune", math.inf), ("kappa_tune", 0.5), ("sigma_start", math.inf), ("sigma_stop", math.nan),
          ("seed", -1)],
     )
     def test_config_and_the_function_that_uses_the_value(self, name, value, small_heat):
@@ -301,7 +301,7 @@ def per_run_reference(config):
         lam = problem.eigenvalues
         w_rows = np.vstack([filter_weight(spec, a, lam) * np.sqrt(lam) for a in grid.alphas])
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
-        fixed = {"oracle": m_star, "noise-level": noise_level_select(grid, sigma)}
+        fixed = {"oracle": m_star, "noise-level": noise_level_select(grid)}
         errors = {name: [] for name in config.selectors}
         hists = {name: np.zeros(grid.m_max + 1, dtype=int) for name in config.selectors}
         r_runs = []
@@ -757,7 +757,8 @@ class TestThreadedCells:
                 force_cpus(monkeypatch, cpus)
                 del started[:]
                 assert plain(run_experiment(cfg)) == serial, cpus
-                assert len(started) == min(cpus, cfg.sigma_count) - 1
+                # a pool of min(cpus, sigma_count) threads; it starts one only while none is idle
+                assert 0 < len(started) <= min(cpus, cfg.sigma_count)
                 assert not any(thread.is_alive() for thread in started)
         finally:
             sys.setswitchinterval(interval)
@@ -799,7 +800,7 @@ class TestThreadedCells:
         force_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError, match="noise level 2 failed"):
             run_experiment(cfg)
-        assert len(started) == cpus - 1
+        assert len(started) <= cpus and bool(started) == (cpus > 1)
         assert not any(thread.is_alive() for thread in started)
 
 

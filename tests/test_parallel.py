@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import pytest
 
@@ -28,14 +29,28 @@ def test_every_item_once_and_in_order_under_frequent_switches(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize(("cpus", "items", "threads"), [(1, 5, 0), (4, 1, 0), (4, 0, 0), (4, 3, 2), (3, 9, 2)])
-def test_threads_started_and_first_item_on_calling_thread(cpus, items, threads, monkeypatch):
+@pytest.mark.parametrize(("cpus", "items", "threads"), [(1, 5, 0), (4, 1, 0), (4, 0, 0), (4, 3, 3), (3, 9, 3)])
+def test_pool_of_min_cpus_and_items_threads(cpus, items, threads, monkeypatch):
+    # the pool starts a thread only while none of its threads is idle, so the
+    # calls wait for each other until every thread of the pool has one
     force_cpus(monkeypatch, cpus)
     started = record_started_threads(monkeypatch)
-    idents = map_on_cpus(lambda item: threading.get_ident(), range(items))
+    barrier = threading.Barrier(threads, timeout=10) if threads else None
+
+    def ident(item):
+        if barrier:
+            barrier.wait()
+        return item, threading.get_ident()
+
+    results = map_on_cpus(ident, range(items))
+    assert [item for item, _ in results] == list(range(items))
     assert len(started) == threads
     assert not any(thread.is_alive() for thread in started)
-    assert idents[:1] == [threading.get_ident()] * min(items, 1)
+    idents = {ident for _, ident in results}
+    if threads:
+        assert idents == {thread.ident for thread in started}
+    else:
+        assert idents <= {threading.get_ident()}
 
 
 def test_first_error_raised_and_no_further_item_handed_out(monkeypatch):
@@ -50,3 +65,29 @@ def test_first_error_raised_and_no_further_item_handed_out(monkeypatch):
     with pytest.raises(KeyError):
         map_on_cpus(failing, range(6))
     assert calls == [0, 1, 2]
+
+
+def test_error_cancels_the_items_not_started(monkeypatch):
+    force_cpus(monkeypatch, 2)
+    started = record_started_threads(monkeypatch)
+    calls = []
+
+    def failing_first(item):
+        calls.append(item)
+        if item == 0:
+            raise KeyError(item)
+        time.sleep(1e-3)
+
+    with pytest.raises(KeyError):
+        map_on_cpus(failing_first, range(50))
+    assert 0 in calls and len(calls) < 50
+    assert started and not any(thread.is_alive() for thread in started)
+
+
+def test_nested_calls_return_every_result_in_order(monkeypatch):
+    # a call made inside another call's worker gets a pool of its own
+    force_cpus(monkeypatch, 2)
+    started = record_started_threads(monkeypatch)
+    rows = map_on_cpus(lambda i: map_on_cpus(lambda j: (i, j), range(3)), range(4))
+    assert rows == [[(i, j) for j in range(3)] for i in range(4)]
+    assert started and not any(thread.is_alive() for thread in started)

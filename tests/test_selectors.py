@@ -348,18 +348,18 @@ class TestSimpleSelectors:
 
     def test_noise_level_exact_match(self):
         grid = toy_grid([0.25, 0.5, 1.0], alphas=[0.9, 0.1, 0.01])
-        assert noise_level_select(grid, sigma=0.1) == 1
+        assert noise_level_select(dataclasses.replace(grid, sigma=0.1)) == 1
 
     def test_noise_level_clamps(self):
         grid = toy_grid([0.25, 0.5, 1.0], alphas=[0.9, 0.1, 0.01])
-        assert noise_level_select(grid, sigma=1e-9) == 2
-        assert noise_level_select(grid, sigma=50.0) == 0
+        assert noise_level_select(dataclasses.replace(grid, sigma=1e-9)) == 2
+        assert noise_level_select(dataclasses.replace(grid, sigma=50.0)) == 0
 
     @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
     def test_noise_level_rejects_nonpositive_or_nonfinite_sigma(self, sigma):
         grid = toy_grid([0.25, 0.5, 1.0], alphas=[0.9, 0.1, 0.01])
         with pytest.raises(InvalidParameterError):
-            noise_level_select(grid, sigma=sigma)
+            noise_level_select(dataclasses.replace(grid, sigma=sigma))
 
 
 class TestOracleConstants:
