@@ -42,7 +42,11 @@ tikhonov pairs on each problem's grid at the largest sigma of its span), at
 master seeds 42 and 7; pair i of master s is drawn with seed
 ``SeedSequence((s, i)).generate_state(1, uint64)[0]``, as in that workload.
 Each tree reports the SHA-256 of every pair's float64 draws, so equal
-digests mean equal draws bit for bit.
+digests mean equal draws bit for bit.  Beside each pair's digests the script
+prints both trees' e^-1, e^-2 and e^-4 quantiles of the draws and their gap
+to LTZ, |LTZ - MC| / MC, then the worst gap of each tree, so that a sampler
+change that keeps the law but moves the draws can be judged from one run.
+The quantiles are a report only: the exit status does not read them.
 
 The reconstruct cases: the 3 problems at their default sizes x {tikhonov,
 showalter, cutoff} x sigma in {1e-2, 1e-4} x seeds 1 to 5, with the default
@@ -140,7 +144,8 @@ def written_files(result, write_results) -> dict:
 def dump(one_cpu: bool) -> None:
     """Run every sweep and draw every pair with the solit on the path; print
     the cells, one list per sweep, the digests of each sweep's written files,
-    the labelled draw digests and the reconstruct picks as one JSON object.
+    the labelled draw digests with their tail quantiles and LTZ gaps, and the
+    reconstruct picks as one JSON object.
     A cell holds each selector's histogram, MSE and stderr, its other values
     and its grid.  With ``one_cpu`` the process first pins itself to one CPU
     of its affinity set, writes no files and prints, in place of their
@@ -153,10 +158,10 @@ def dump(one_cpu: bool) -> None:
 
     import solit
     from solit import ExperimentConfig, run_experiment, write_results
-    from solit.genchi2 import mc_sample_quadratic_form
+    from solit.genchi2 import ltz_quantile_for_weights, mc_sample_quadratic_form
 
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-    from workloads import QUANTILE_DRAWS, quantile_pairs
+    from workloads import QUANTILE_DRAWS, QUANTILE_TAILS, quantile_pairs
 
     started = []
     start_thread = threading.Thread.start
@@ -183,7 +188,9 @@ def dump(one_cpu: bool) -> None:
         for index, (key, w) in enumerate(quantile_pairs(solit)):
             seed = int(np.random.SeedSequence((master, index)).generate_state(1, np.uint64)[0])
             z = mc_sample_quadratic_form(w, QUANTILE_DRAWS, seed)
-            draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest()])
+            mc = np.quantile(z, 1.0 - np.asarray(QUANTILE_TAILS)).tolist()
+            gaps = [abs(ltz_quantile_for_weights(w, p) - q) / q for p, q in zip(QUANTILE_TAILS, mc)]
+            draws.append([f"{key}/seed={master}", hashlib.sha256(z.tobytes()).hexdigest(), mc, gaps])
     picks = [reconstruct_pick(solit, *case) for case in reconstruct_cases()]
     extra = {"threads started": len(started)} if one_cpu else {"files": files}
     json.dump({"sweeps": sweeps, "draws": draws, "picks": picks, **extra}, sys.stdout)
@@ -263,6 +270,21 @@ def compare(old: list, new: list) -> dict:
     return totals(per_sweep)
 
 
+def report_quantiles(old: list, new: list) -> None:
+    """Print each pair's draw digest, tail quantiles and LTZ gaps under both
+    trees, then each tree's worst gap."""
+    width = max(len(d[0]) for d in old)
+    tails = ("e^-1", "e^-2", "e^-4")
+    print(f"{'pair':{width}} {'tree':4} {'digest':12} " + " ".join(f"{'q(' + t + ')':>10}" for t in tails)
+          + " " + " ".join(f"{'gap(' + t + ')':>10}" for t in tails))
+    for a, b in zip(old, new):
+        for name, (key, sha, mc, gaps) in (("old", a), ("new", b)):
+            print(f"{key if name == 'old' else '':{width}} {name:4} {sha[:12]} " + " ".join(f"{q:10.4e}" for q in mc)
+                  + " " + " ".join(f"{g:10.4f}" for g in gaps))
+    print("worst LTZ gap: " + ", ".join(f"{name} {max(max(d[3]) for d in draws):.4f}"
+                                        for name, draws in (("old", old), ("new", new))))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
@@ -286,7 +308,8 @@ def main(argv=None) -> int:
     old, new, one_cpu = (json.loads(text) for text in outputs)
     counts = compare(old["sweeps"], new["sweeps"])
     single = totals([sweep_differences(a, b, 0.0) for a, b in zip(new["sweeps"], one_cpu["sweeps"])])
-    draws_differ = [key for (key, a), (_, b) in zip(old["draws"], new["draws"]) if a != b]
+    report_quantiles(old["draws"], new["draws"])
+    draws_differ = [a[0] for a, b in zip(old["draws"], new["draws"]) if a[1] != b[1]]
     for key in draws_differ:
         print(f"draws differ: {key}")
     print(f"{'reconstruct case':36} {'old':>4} {'new':>4}")

@@ -174,14 +174,17 @@ class CandidateGrid:
 def _estimate_tail_ratio(problem: SpectralProblem, alpha_min: float, v_at_min: float) -> float:
     """Crude bound on the variance mass omitted by truncation, relative to the
     retained variance at the deepest candidate.  The eigenvalue tail beyond
-    lam_n is extended geometrically from the last two retained eigenvalues."""
+    lam_n is extended geometrically from the last two distinct retained
+    eigenvalues (the trigonometric bases end on an equal cos/sin pair), each
+    value repeated as often as lam_n is; a flat spectrum gives inf."""
     lam = problem.eigenvalues
     if lam.size < 2 or v_at_min <= 0:
         return math.nan
-    r = lam[-1] / lam[-2]
-    if r >= 1.0:
+    above = lam[lam > lam[-1]]
+    if above.size == 0:
         return math.inf
-    tail_trace = lam[-1] * r / (1.0 - r)
+    r = lam[-1] / above[-1]
+    tail_trace = np.count_nonzero(lam == lam[-1]) * lam[-1] * r / (1.0 - r)
     # q <= 1/alpha bounds each omitted term by lam / alpha^2
     return float(tail_trace / (alpha_min**2 * v_at_min))
 

@@ -11,7 +11,15 @@ The independent cross-check is a seeded Monte Carlo sampler.  It only ever
 needs the squares eps_i^2, and draws them in pairs by squared Box-Muller:
 with R^2 = -2 ln U and theta = pi V for independent uniforms U and V,
 R^2 cos^2(theta) and R^2 sin^2(theta) are two independent chi-squared(1)
-variables (Box & Muller 1958, Ann. Math. Statist. 29).
+variables (Box & Muller 1958, Ann. Math. Statist. 29).  It draws only the
+weights that matter: the smallest ones are folded into their exact mean,
+sum a_i, which is added to every draw.  By Laurent & Massart (2000, Ann.
+Statist. 28, Lemma 1) the folded part sum_F a_i (eps_i^2 - 1) of one draw
+exceeds 2 ||a_F||_2 sqrt(x) + 2 max(a_F) x with probability at most e^-x and
+falls below -2 ||a_F||_2 sqrt(x) with probability at most e^-x; the sampler
+folds as many weights as keep that deviation below ``_FOLD_TOL`` (1e-6) of
+E[Z] = sum a_i, with x chosen so that no draw of a call breaks the bound
+with probability above e^-14.
 """
 
 from __future__ import annotations
@@ -22,13 +30,15 @@ import warnings
 import numpy as np
 from scipy import special
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec, filter_weight
 from .parallel import cpu_count, map_on_cpus
 from .sequence_model import SpectralProblem
 
 _POISSON_MASS_TOL = 1e-14
 _BLOCK_ELEMENTS = 2**16  # squared normals per Monte Carlo block
+_FOLD_TOL = 1e-6  # folded deviation allowed per draw, relative to E[Z]
+_FOLD_LOG_RISK = 14.0  # some draw of a call breaks the fold bound with probability <= e^-14
 
 
 def _weights_array(w, max_ndim: int = 1) -> tuple:
@@ -183,12 +193,39 @@ def _fill_blocks(z: np.ndarray, a32: np.ndarray, bitgen, start: int, stop: int, 
         z[lo : lo + m] = pairs.reshape(-1)[: m * k].reshape(m, k) @ a32
 
 
+def _fold(a: np.ndarray, samples: int) -> tuple[np.ndarray, float]:
+    """Which weights ``samples`` draws must sample, as a mask, and the sum of
+    the others, the folded constant.
+
+    The folded weights F are the j smallest, for the largest j < len(a) with
+    2 ||a_F||_2 sqrt(x) + 2 max(a_F) x <= _FOLD_TOL sum a, where
+    x = log(2 samples) + _FOLD_LOG_RISK.  By Laurent & Massart's bound each
+    draw's folded part strays from its mean by more than that with
+    probability at most 2 e^-x, so by a union bound no draw of the call does
+    but with probability e^-_FOLD_LOG_RISK.  The largest weight is always
+    kept; both terms grow with j, so the admissible j form a prefix.
+    """
+    x = math.log(2.0 * samples) + _FOLD_LOG_RISK
+    order = np.argsort(a, kind="stable")
+    s = a[order] / a[order[-1]]  # on the largest weight's scale, so no square overflows
+    deviation = 2.0 * np.sqrt(np.cumsum(s * s) * x) + 2.0 * x * s
+    j = int(np.count_nonzero(deviation[:-1] <= _FOLD_TOL * np.sum(s)))
+    keep = np.ones(a.size, dtype=bool)
+    keep[order[:j]] = False
+    return keep, float(np.sum(a[~keep]))
+
+
 def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     """Seeded draws of Z = sum a_i eps_i^2, deterministic given the seed.
 
-    Weights below 1e-9 of the largest are dropped: their total mean mass
-    shifts any quantile by a relative amount far below the Monte Carlo noise
-    at the supported sample sizes.
+    ``samples`` must be a positive integer and ``seed`` a nonnegative one.
+    Only the weights ``_fold`` keeps are drawn, in their original order; the
+    sum of the folded ones, their exact mean, is added to every draw, so the
+    mean of Z is exact.  The folded part moves a draw by at most 1e-6 of
+    E[Z] (see the module docstring), about the float32 rounding of the
+    contraction below, and no draw breaks that bound but with probability
+    e^-14.  A single weight folds nothing, nor do equal weights short of
+    some 3e7 of them.
 
     The squared normals come in squared Box-Muller pairs, one 64-bit word of
     a ``PCG64DXSM(seed)`` stream per pair.  The word's two 32-bit halves u
@@ -210,9 +247,16 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     draws do not depend on the CPU count.
     """
     a, amax = _weights_array(w)
+    samples = typed_option("samples", samples, int)
+    if samples < 1:
+        raise InvalidParameterError(f"at least one Monte Carlo sample is required, not {samples}")
+    seed = typed_option("seed", seed, int)
+    if seed < 0:
+        raise InvalidParameterError(f"the Monte Carlo seed must be nonnegative, not {seed}")
     if amax == 0.0:
         return np.zeros(samples)
-    a32 = a[a > amax * 1e-9].astype(np.float32)
+    keep, folded = _fold(a, samples)
+    a32 = a[keep].astype(np.float32)
     k = a32.size
     rows = max(2, min(_BLOCK_ELEMENTS // k, samples + 1) & ~1)  # even, so rows * k is even
     blocks = -(-samples // rows)
@@ -226,6 +270,7 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
         _fill_blocks(z, a32, bitgen.advance(lo * k // 2) if lo else bitgen, lo, hi, rows)
 
     map_on_cpus(draw, zip(edges[:-1], edges[1:]))
+    z += folded  # adds 0.0, which leaves every draw as it is, when nothing folds
     return z
 
 

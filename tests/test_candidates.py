@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from solit import (
     InvalidParameterError,
     antiderivative_problem,
     build_grid,
+    get_problem,
     line_search_variance,
     pairwise_variance_v,
     variance_V,
@@ -211,6 +213,27 @@ class TestBuildGrid:
         first = lines[1].split(",")
         assert first[3] == ""  # no ratio for m = 0
 
+
+
+class TestTruncationTailRatio:
+    def test_equal_last_pair_extends_from_the_last_distinct_values(self):
+        # 1, 1/4, 1/4: the tail goes on in pairs, each a quarter of the last
+        alpha, v = 0.5, 2.0
+        ratio = candidates._estimate_tail_ratio(synthetic_problem([1.0, 0.25, 0.25]), alpha, v)
+        assert ratio == pytest.approx(2 * 0.25 * (0.25 / 0.75) / (alpha**2 * v), rel=1e-15)
+
+    def test_flat_spectrum_has_no_geometric_tail(self):
+        assert candidates._estimate_tail_ratio(synthetic_problem([0.5, 0.5]), 0.5, 2.0) == math.inf
+
+    @pytest.mark.parametrize("name", ["gradiometry", "heat"])
+    def test_trigonometric_problems_give_finite_ratios_and_no_warning(self, name):
+        problem = get_problem(name)  # default size, which ends on an equal cos/sin pair
+        assert problem.eigenvalues[-1] == problem.eigenvalues[-2]
+        for kind in ("tikhonov", "showalter", "cutoff"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grids = build_grid(problem, FilterSpec(kind), np.geomspace(1e-2, 1e-8, 8))
+            assert all(0.0 <= g.truncation_tail_ratio <= 1e-4 for g in grids)
 
 
 class TestSweepGrids:

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +398,119 @@ class TestMcSampler:
 
     def test_no_standard_normal_path(self):
         assert "standard_normal" not in inspect.getsource(genchi2)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, "10", None])
+    def test_bad_sample_count_rejected(self, samples):
+        with pytest.raises(InvalidParameterError):
+            mc_sample_quadratic_form([1.0, 0.5], samples, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError):
+            mc_sample_quadratic_form([1.0, 0.5], 10, seed)
+
+    def test_integral_counts_of_other_types_accepted(self):
+        z = mc_sample_quadratic_form([1.0, 0.5], 10, seed=3)
+        assert np.array_equal(mc_sample_quadratic_form([1.0, 0.5], np.int64(10), np.uint64(3)), z)
+        assert np.array_equal(mc_sample_quadratic_form([1.0, 0.5], 10.0, 3.0), z)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def fold_reference(a, samples):
+    """The largest j whose j smallest weights keep the Laurent-Massart
+    deviation within _FOLD_TOL of sum a, by a loop over j."""
+    x = math.log(2.0 * samples) + genchi2._FOLD_LOG_RISK
+    s = np.sort(a)
+    j = 0
+    while j + 1 < s.size:
+        folded = s[: j + 1]
+        bound = 2.0 * math.sqrt(float(np.sum(folded**2)) * x) + 2.0 * x * float(folded[-1])
+        if bound > genchi2._FOLD_TOL * float(np.sum(s)):
+            break
+        j += 1
+    return j
+
+
+class TestFold:
+    def test_draws_move_by_at_most_the_tolerance_on_benchmark_pairs(self, monkeypatch):
+        # the same float64 squares with and without the fold, on the weights
+        # the quantile-mc workload draws
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import quantile_pairs
+
+        import solit
+
+        samples = 1000
+        rng = np.random.default_rng(5)
+        squares = {}
+        folded_any = False
+        for key, w in quantile_pairs(solit):
+            keep, folded = genchi2._fold(w, samples)
+            if w.size not in squares:
+                squares[w.size] = rng.standard_normal((samples, w.size)) ** 2
+            eps2 = squares[w.size]
+            full = eps2 @ w
+            moved = np.max(np.abs(eps2[:, keep] @ w[keep] + folded - full))
+            assert moved <= genchi2._FOLD_TOL * np.sum(w), key
+            folded_any |= not keep.all()
+        assert folded_any
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(float, st.integers(1, 60), elements=st.one_of(st.just(0.0), st.floats(1e-15, 1e3))),
+        st.sampled_from([1, 1000, 200_000, 10**6]),
+    )
+    def test_folds_the_most_smallest_weights_and_keeps_the_largest(self, a, samples):
+        if not a.any():  # all zero: the sampler returns before folding
+            return
+        keep, folded = genchi2._fold(a, samples)
+        j = int(np.count_nonzero(~keep))
+        assert j == fold_reference(a, samples)
+        assert a[keep].max() == a.max()
+        if j:
+            assert a[~keep].max() <= a[keep].min()
+
+    def test_largest_weight_kept_under_any_tolerance(self, monkeypatch):
+        monkeypatch.setattr(genchi2, "_FOLD_TOL", 1e3)  # would fold every weight
+        a = np.array([1.0, 2.0, 0.5, 2.0])
+        keep, folded = genchi2._fold(a, 10)
+        assert keep.sum() == 1 and a[keep][0] == 2.0 and folded == 3.5
+
+    @settings(deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 60), elements=st.floats(1e-15, 1e3)))
+    def test_folded_constant_is_the_sum_of_the_folded_weights(self, a):
+        keep, folded = genchi2._fold(np.append(a, 1e6), 200_000)
+        assert folded == pytest.approx(math.fsum(np.append(a, 1e6)[~keep]), rel=1e-12, abs=0.0)
+
+    def test_folded_constant_is_added_to_every_draw(self):
+        # one kept weight of 1 draws the same squares with or without the
+        # folded ones, and contracts them exactly
+        tiny = [1e-12] * 50
+        keep, folded = genchi2._fold(np.array([1.0] + tiny), 4001)
+        assert keep.tolist() == [True] + [False] * 50 and folded > 0.0
+        z = mc_sample_quadratic_form([1.0] + tiny, 4001, seed=8)
+        assert np.array_equal(z, mc_sample_quadratic_form([1.0], 4001, seed=8) + folded)
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 1.0], [0.3] * 1000, [2.5e-300] * 7])
+    def test_single_or_equal_weights_fold_nothing(self, a):
+        for samples in (1, 1000, 10**6):
+            keep, folded = genchi2._fold(np.array(a), samples)
+            assert keep.all() and folded == 0.0
+
+    def test_kept_weights_drawn_in_their_original_order(self, monkeypatch):
+        drawn = []
+        fill = genchi2._fill_blocks
+
+        def recording(z, a32, bitgen, start, stop, rows):
+            drawn.append(a32.copy())
+            fill(z, a32, bitgen, start, stop, rows)
+
+        monkeypatch.setattr(genchi2, "_fill_blocks", recording)
+        force_cpus(monkeypatch, 1)
+        mc_sample_quadratic_form([1e-13, 3.0, 1e-14, 0.5, 2.0, 1e-13], 1000, seed=1)
+        assert drawn[0].tolist() == [3.0, 0.5, 2.0]
 
 
 class TestCriticalValue:
