@@ -50,7 +50,8 @@ The quantiles are a report only: the exit status does not read them.
 
 The reconstruct cases: the 3 problems at their default sizes x {tikhonov,
 showalter, cutoff} x sigma in {1e-2, 1e-4} x seeds 1 to 5, with the default
-theta, beta and gamma.  The chosen index is the position of the printed
+theta, beta and gamma; and each problem with tikhonov at sigma 1e-2 without
+a --seed flag, so the default seed is compared too.  The chosen index is the position of the printed
 alpha in the grid ``build_grid`` gives for the case.
 """
 
@@ -101,20 +102,22 @@ def cells() -> list[dict]:
     return out
 
 
-def reconstruct_cases() -> list[tuple[str, str, str, int]]:
-    """The reconstruct cases as (problem, filter, sigma, seed)."""
+def reconstruct_cases() -> list[tuple[str, str, str, int | None]]:
+    """The reconstruct cases as (problem, filter, sigma, seed); a seed of None
+    passes no --seed flag."""
     return [(problem, filt, sigma, seed) for problem in SPANS for filt in RECONSTRUCT_FILTERS
-            for sigma in RECONSTRUCT_SIGMAS for seed in RECONSTRUCT_SEEDS]
+            for sigma in RECONSTRUCT_SIGMAS for seed in RECONSTRUCT_SEEDS] + [
+        (problem, "tikhonov", RECONSTRUCT_SIGMAS[0], None) for problem in SPANS]
 
 
-def reconstruct_pick(solit, problem: str, filt: str, sigma: str, seed: int) -> int:
+def reconstruct_pick(solit, problem: str, filt: str, sigma: str, seed: int | None) -> int:
     """The candidate index ``solit reconstruct`` chooses for one case."""
     from solit.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["reconstruct", "--problem", problem, "--filter", filt, "--sigma", sigma,
-                     "--seed", str(seed), "--points", "1"])
+        code = main(["reconstruct", "--problem", problem, "--filter", filt, "--sigma", sigma, "--points", "1"]
+                    + ["--seed", str(seed)] * (seed is not None))
     if code:
         raise RuntimeError(f"solit reconstruct failed on {problem}/{filt}/sigma={sigma}/seed={seed}")
     alpha = float(out.getvalue().splitlines()[0].removeprefix("# alpha="))
@@ -312,10 +315,10 @@ def main(argv=None) -> int:
     draws_differ = [a[0] for a, b in zip(old["draws"], new["draws"]) if a[1] != b[1]]
     for key in draws_differ:
         print(f"draws differ: {key}")
-    print(f"{'reconstruct case':36} {'old':>4} {'new':>4}")
+    print(f"{'reconstruct case':44} {'old':>4} {'new':>4}")
     for case, a, b in zip(reconstruct_cases(), old["picks"], new["picks"]):
         name = "{}/{}/sigma={}/seed={}".format(*case)
-        print(f"{name:36} {a:4d} {b:4d}{'  differs' if a != b else ''}")
+        print(f"{name:44} {a:4d} {b:4d}{'  differs' if a != b else ''}")
     picks_differ = sum(a != b for a, b in zip(old["picks"], new["picks"]))
     file_pairs = [(f"{label(cell)}/{name}", a.get(name), b.get(name))
                   for cell, a, b in zip(cells(), old["files"], new["files"]) for name in sorted(a.keys() | b.keys())]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, typed_option
 from .filters import FilterSpec, filter_weight
 from .sequence_model import SpectralProblem
 
@@ -65,10 +65,10 @@ def line_search_variance(
     is returned (smallest achievable overshoot).  Targets outside the
     attainable range clamp to the corresponding bracket end.
     """
-    if target <= 0:
-        raise InvalidParameterError("target variance must be positive")
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
+    if not 0 < target < math.inf:
+        raise InvalidParameterError(f"target variance must be positive and finite, not {target!r}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tolerance must be positive and finite, not {tol!r}")
     a_lo, a_hi = bracket
     if not (0 < a_lo <= a_hi):
         raise InvalidParameterError(f"invalid bracket {bracket}")
@@ -211,11 +211,10 @@ def build_grid(
     and one grid per noise level is returned, each the prefix that a scalar
     call would build.
     """
-    sigmas = np.asarray(sigma, dtype=float)
-    if sigmas.size == 0 or not np.all((sigmas > 0) & (sigmas < math.inf)):
-        raise InvalidParameterError("noise level must be positive and finite")
-    if not 1 < theta < math.inf:
-        raise InvalidParameterError("theta must be finite and exceed 1")
+    sigmas = np.reshape([typed_option("sigma", s, float) for s in np.ravel(sigma).tolist()], np.shape(sigma))
+    if sigmas.size == 0:
+        raise InvalidParameterError("a grid needs at least one noise level")
+    theta = typed_option("theta", theta, float)
 
     theta1 = theta - (theta - 1.0) / 2.0
     theta2_req = theta + (theta - 1.0) / 2.0

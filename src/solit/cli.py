@@ -24,7 +24,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .candidates import build_grid
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .genchi2 import ltz_quantile_for_weights, mc_tail_quantiles
 from .harness import (
@@ -52,11 +52,10 @@ def _problem_params(opts: dict) -> dict:
 
 
 def _problem_and_filter(args: argparse.Namespace):
-    """Merged options, problem and filter of a single-problem subcommand."""
-    opts = {**_SIM_DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
+    """Merged options (``_options``), problem and filter of a single-problem subcommand."""
+    opts = _options(args)
     problem = get_problem(opts["problem"], **_problem_params(opts))
-    spec = FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
-    return opts, problem, spec
+    return opts, problem, FilterSpec.for_spectrum(opts["filter"], problem.eigenvalues, opts["landweber_step"])
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -100,34 +99,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_q)
     p_q.add_argument("--sigma", type=float, required=True)
     p_q.add_argument("--mc-samples", dest="mc_samples", type=int, default=1_000_000)
-    p_q.add_argument("--seed", type=int, default=42)
+    p_q.add_argument("--seed", type=int)
 
     p_rec = sub.add_parser("reconstruct", help="one reconstruction on a physical grid")
     _add_problem_flags(p_rec)
     p_rec.add_argument("--sigma", type=float, required=True)
-    p_rec.add_argument("--seed", type=int, default=42)
+    p_rec.add_argument("--seed", type=int)
     p_rec.add_argument("--points", type=int, default=256)
     p_rec.add_argument("--alpha", type=float, help="fixed candidate (default: solit choice)")
-    p_rec.add_argument("--beta", type=float, default=1.0)
-    p_rec.add_argument("--gamma", type=float, default=1.0)
+    p_rec.add_argument("--beta", type=float)
+    p_rec.add_argument("--gamma", type=float)
     return parser
 
 
-def _merge_simulate_options(args: argparse.Namespace) -> dict:
+def _options(args: argparse.Namespace) -> dict:
+    """A subcommand's options: its flags over simulate's --config file over
+    the defaults, ExperimentConfig's for the sweep options."""
     opts = dict(_SIM_DEFAULTS)
-    if args.config:
-        with open(args.config) as fh:
+    path = vars(args).get("config")
+    if path:
+        with open(path) as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise InvalidParameterError(f"config file {args.config} is not valid JSON: {exc}") from None
+                raise InvalidParameterError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
-            raise InvalidParameterError(f"config file {args.config} must hold a JSON object, not {loaded!r}")
+            raise InvalidParameterError(f"config file {path} must hold a JSON object, not {loaded!r}")
         unknown = set(loaded) - set(_SIM_DEFAULTS)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         opts.update(loaded)
-    opts.update({key: value for key, value in vars(args).items() if key in _SIM_DEFAULTS and value is not None})
+    opts.update({key: value for key, value in vars(args).items() if value is not None})
     if isinstance(opts["selectors"], str):
         opts["selectors"] = [name for name in opts["selectors"].split(",") if name]
     return opts
@@ -140,7 +142,7 @@ def _simulate_config(opts: dict) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _merge_simulate_options(args)
+    opts = _options(args)
     out = opts["out"] or os.environ.get("SOLIT_OUT") or "results"
     config = _simulate_config(opts)
     result = run_experiment(config)
@@ -167,7 +169,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
     opts, problem, spec = _problem_and_filter(args)
-    grid = build_grid(problem, spec, args.sigma, opts["theta"])
+    grid = build_grid(problem, spec, opts["sigma"], opts["theta"])
     sys.stdout.write(grid.to_csv())
     if grid.theta2_enlarged:
         print(
@@ -179,18 +181,17 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantile_check(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise InvalidParameterError("seed must be nonnegative")
     opts, problem, spec = _problem_and_filter(args)
-    grid = build_grid(problem, spec, args.sigma, opts["theta"])
+    master = typed_option("seed", opts["seed"], int)
+    grid = build_grid(problem, spec, opts["sigma"], opts["theta"])
     w_rows = estimator_weights(problem, spec, grid.alphas)
     # every row before any output, so a bad value leaves only the error line
     rows = []
     for m1 in range(grid.m_max):
         m2 = m1 + 1
         weights = (w_rows[m1] - w_rows[m2]) ** 2
-        seed = int(np.random.SeedSequence((args.seed, m1)).generate_state(1, np.uint64)[0])
-        mcs = mc_tail_quantiles(weights, _QUANTILE_CHECK_TAILS, args.mc_samples, seed)
+        seed = int(np.random.SeedSequence((master, m1)).generate_state(1, np.uint64)[0])
+        mcs = mc_tail_quantiles(weights, _QUANTILE_CHECK_TAILS, opts["mc_samples"], seed)
         for p, mc in zip(_QUANTILE_CHECK_TAILS, mcs):
             ltz = ltz_quantile_for_weights(weights, p)
             rel = abs(ltz - mc) / mc
@@ -200,20 +201,20 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise InvalidParameterError("--points must be at least 1")
     opts, problem, spec = _problem_and_filter(args)
-    y = simulate_data(problem, args.sigma, args.seed)
-    if args.alpha is not None:
-        alpha = args.alpha
+    if opts["points"] < 1:
+        raise InvalidParameterError("--points must be at least 1")
+    y = simulate_data(problem, opts["sigma"], opts["seed"])
+    if opts.get("alpha") is not None:
+        alpha = opts["alpha"]
     else:
-        grid = build_grid(problem, spec, args.sigma, opts["theta"])
-        thresholds = build_thresholds(problem, spec, grid, args.beta, args.gamma)
+        grid = build_grid(problem, spec, opts["sigma"], opts["theta"])
+        thresholds = build_thresholds(problem, spec, grid, opts["beta"], opts["gamma"])
         # the rule and the distances of the sweeps, for one realization
         pick = stream_select(y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]
         alpha = float(grid.alphas[pick])
     coeffs = estimate(problem, y, spec, alpha)
-    xs = np.linspace(*DOMAINS[opts["problem"]], args.points)
+    xs = np.linspace(*DOMAINS[opts["problem"]], opts["points"])
     values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))
     print(f"# alpha={alpha:.9g}")
     print("x,value")

@@ -1,4 +1,7 @@
-"""Exception types and the option type check shared across the package."""
+"""Exception types and the one check of an option: its type, then its range.
+
+Every entry point that takes an option checks it through ``typed_option``,
+so each rule and its message are written once, in ``_RANGES``."""
 
 import numbers
 import sys
@@ -15,9 +18,23 @@ class ConfigurationError(RuntimeError):
     the chosen truncation dimension)."""
 
 
+# (bound, comparison) of each option with a range: the grid ratio theta > 1
+# and the threshold budget beta, gamma > 0 keep the oracle inequality's
+# constants finite
+_RANGES = {
+    **dict.fromkeys(("beta", "gamma", "sigma", "sigma_start", "sigma_stop", "landweber_step"), (0, ">")),
+    "theta": (1, ">"),
+    **dict.fromkeys(("kappa_tune", "runs", "sigma_count", "samples"), (1, ">=")),
+    "seed": (0, ">="),
+}
+
+
 def typed_option(name: str, value, kind):
     """``value`` of option ``name`` as its type ``kind`` (bool, int, float, str,
-    dict, ``tuple[str, ...]`` or ``X | None``) by ``ExperimentConfig``'s rule."""
+    dict, ``tuple[str, ...]`` or ``X | None``) by ``ExperimentConfig``'s rule,
+    then checked against the option's range in ``_RANGES``, if it has one.
+    Either failure raises ``InvalidParameterError`` naming the option and the
+    value as given."""
     if type(None) in typing.get_args(kind):  # X | None
         if value is None:
             return None
@@ -37,4 +54,8 @@ def typed_option(name: str, value, kind):
         ok = isinstance(value, kind)
     if not ok:
         raise InvalidParameterError(f"option {name!r} must be of type {label}, not {value!r}")
-    return kind(value)
+    typed = kind(value)
+    bound, op = _RANGES.get(name, (None, ""))
+    if op and not (typed > bound if op == ">" else typed >= bound):
+        raise InvalidParameterError(f"option {name!r} must be {op} {bound}, not {value!r}")
+    return typed

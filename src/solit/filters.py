@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 
 FILTER_KINDS = ("tikhonov", "showalter", "cutoff", "landweber")
 
@@ -47,10 +47,7 @@ class FilterSpec:
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
             )
         if self.kind == "landweber":
-            if self.landweber_step is None or not 0 < self.landweber_step < math.inf:
-                raise InvalidParameterError(
-                    "landweber requires a positive finite relaxation step"
-                )
+            object.__setattr__(self, "landweber_step", typed_option("landweber_step", self.landweber_step, float))
 
     @classmethod
     def for_spectrum(cls, name: str, lam, landweber_step: float | None = None) -> "FilterSpec":

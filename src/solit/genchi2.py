@@ -103,6 +103,14 @@ def noncentral_chi2_sf(l: float, delta: float, x: float) -> float:
     return min(max(sf, 0.0), 1.0)
 
 
+def _matched_dof(c2, c3):
+    """Degrees of freedom l = c2^3 / c3^2 of the central chi-squared matched to
+    the traces c2 and c3, floats or arrays; raises unless all are positive."""
+    if not (np.all(c2 > 0) and np.all(c3 > 0)):
+        raise InvalidParameterError("second and third cumulant traces must be positive")
+    return c2**3 / c3**2
+
+
 def ltz_tail_sf(cumulants, t: float) -> float:
     """Skewness/kurtosis-matched chi-squared approximation of P(Z > t).
 
@@ -112,14 +120,12 @@ def ltz_tail_sf(cumulants, t: float) -> float:
       P(Z > t) ~ P(chi2_l > l + (t - c1) c2 / c3),
 
     the exact inverse of ``ltz_tail_quantile``.  Raises when c2 <= 0 or
-    c3 <= 0 (no skewness to match).
+    c3 <= 0 (no skewness to match), or t is NaN.
     """
+    if not -math.inf <= t <= math.inf:
+        raise InvalidParameterError(f"tail point must be a number, not {t!r}")
     c1, c2, c3 = (float(c) for c in cumulants)
-    if not c2 > 0:
-        raise InvalidParameterError("second cumulant trace must be positive")
-    if not c3 > 0:
-        raise InvalidParameterError("third cumulant trace must be positive")
-    l = c2**3 / c3**2
+    l = _matched_dof(c2, c3)
     # chdtrc is NaN below 0, where the tail probability is 1
     return float(special.chdtrc(l, max(l + (t - c1) * c2 / c3, 0.0)))
 
@@ -138,14 +144,10 @@ def ltz_tail_quantile(cumulants, p):
     or the result is not finite.
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise InvalidParameterError("tail probability must lie strictly in (0, 1)")
     c1, c2, c3 = (np.asarray(c, dtype=float) for c in cumulants)
-    if np.any(c2 <= 0):
-        raise InvalidParameterError("second cumulant trace must be positive")
-    if np.any(c3 <= 0):
-        raise InvalidParameterError("third cumulant trace must be positive")
-    l = c2**3 / c3**2
+    l = _matched_dof(c2, c3)
     t = c1 + (c3 / c2) * (special.chdtri(l, p) - l)
     if not np.all(np.isfinite(t)):
         raise InvalidParameterError("tail quantile is not finite")
@@ -247,12 +249,7 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     draws do not depend on the CPU count.
     """
     a, amax = _weights_array(w)
-    samples = typed_option("samples", samples, int)
-    if samples < 1:
-        raise InvalidParameterError(f"at least one Monte Carlo sample is required, not {samples}")
-    seed = typed_option("seed", seed, int)
-    if seed < 0:
-        raise InvalidParameterError(f"the Monte Carlo seed must be nonnegative, not {seed}")
+    samples, seed = typed_option("samples", samples, int), typed_option("seed", seed, int)
     if amax == 0.0:
         return np.zeros(samples)
     keep, folded = _fold(a, samples)
@@ -277,10 +274,10 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
 def mc_tail_quantiles(w, ps, samples: int, seed: int) -> np.ndarray:
     """Empirical upper-tail quantiles at several tail probabilities from a
     single batch of seeded draws."""
-    if samples < 1000:
-        raise InvalidParameterError("at least 1000 Monte Carlo samples are required")
+    if typed_option("samples", samples, int) < 1000:
+        raise InvalidParameterError(f"at least 1000 Monte Carlo samples are required, not {samples!r}")
     ps = np.asarray(ps, dtype=float)
-    if np.any((ps <= 0) | (ps >= 1)):
+    if not np.all((0 < ps) & (ps < 1)):
         raise InvalidParameterError("tail probabilities must lie strictly in (0, 1)")
     z = mc_sample_quadratic_form(w, samples, seed)
     return np.quantile(z, 1.0 - ps)

@@ -93,9 +93,11 @@ class ExperimentConfig:
     """One Monte Carlo sweep.  Each field must have its annotated type
     (``errors.typed_option``): an int stands for a float, an integral float for
     an int and a list of names for the tuple; numpy numbers count as Python's,
-    floats are finite, a bool is only a bool, and nothing else converts.  The
-    ``problem_params`` must be parameters of the problem's builder, each typed
-    like its default (``testproblems.typed_problem_params``)."""
+    floats are finite, a bool is only a bool, and nothing else converts.  A
+    field with a range must lie in it (``errors._RANGES``); sigma_stop must
+    also lie below sigma_start.  The ``problem_params`` must be parameters of
+    the problem's builder, each typed like its default
+    (``testproblems.typed_problem_params``)."""
 
     problem: str
     filter_kind: str
@@ -125,21 +127,8 @@ class ExperimentConfig:
         repeated = {name for name in self.selectors if self.selectors.count(name) > 1}
         if repeated:
             raise InvalidParameterError(f"repeated selectors: {sorted(repeated)}")
-        if self.runs < 1:
-            raise InvalidParameterError("at least one Monte Carlo run is required")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be nonnegative")
-        if not (0 < self.sigma_stop < self.sigma_start):
+        if not self.sigma_stop < self.sigma_start:
             raise InvalidParameterError("need sigma_start > sigma_stop > 0")
-        if self.sigma_count < 1:
-            raise InvalidParameterError("sigma_count must be positive")
-        # the messages of build_grid, build_thresholds and lepskii_limits, which check them again
-        if not self.theta > 1:
-            raise InvalidParameterError("theta must be finite and exceed 1")
-        if not (self.beta > 0 and self.gamma > 0):
-            raise InvalidParameterError("beta and gamma must be finite and positive")
-        if not self.kappa_tune >= 1:
-            raise InvalidParameterError("kappa_tune must be finite and at least 1")
 
     def sigma_grid(self) -> np.ndarray:
         """Strictly decreasing geometric noise-level grid (sigma_start alone

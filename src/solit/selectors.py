@@ -19,12 +19,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import genchi2  # called through the module, which perfbench's genchi2 probes wrap
 from .candidates import CandidateGrid
 from .candidates import pairwise_variance_v  # noqa: F401 - perfbench's candidates.pairwise_variance_v probe
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec
 from .genchi2 import critical_value_z  # noqa: F401 - perfbench's genchi2.critical_value_z probe
-from .genchi2 import ltz_quantile_for_weights
 from .sequence_model import SpectralProblem, estimator_weights
 
 
@@ -112,8 +112,7 @@ def build_thresholds(
     f the truth.  The tables of every prefix of the grid follow by
     ``ThresholdTable.restrict``.
     """
-    if not (0 < beta < math.inf and 0 < gamma < math.inf):
-        raise InvalidParameterError("beta and gamma must be finite and positive")
+    beta, gamma = typed_option("beta", beta, float), typed_option("gamma", gamma, float)
     mm = grid.m_max
     x = 2.0 * (1.0 + gamma) * np.log(grid.v[1:] / grid.v[0])
     w_rows = estimator_weights(problem, spec, grid.alphas)
@@ -122,7 +121,7 @@ def build_thresholds(
     kappa, bias, variance = np.full((3, mm + 1, mm + 1), np.nan)
     for m1 in range(mm):
         d2 = (w_rows[m1 + 1 :] - w_rows[m1]) ** 2
-        z = np.sqrt(ltz_quantile_for_weights(d2, math.exp(-x[m1])))
+        z = np.sqrt(genchi2.ltz_quantile_for_weights(d2, math.exp(-x[m1])))
         variance[m1, m1 + 1 :] = sigma**2 * d2.sum(-1)
         kappa[m1, m1 + 1 :] = sigma * z + beta * np.sqrt(variance[m1, m1 + 1 :])
         bias[m1, m1 + 1 :] = np.sqrt(d2 @ g2)
@@ -180,9 +179,7 @@ def lepskii_limits(grid: CandidateGrid, kappa_tune: float = 1.0) -> np.ndarray:
     """The balancing rule's limits 4 * kappa_tune * mu_{m2}, one per candidate,
     with mu_k = sigma * sqrt(V(alpha_k)) = sqrt(v_k) at the grid's noise
     level."""
-    if not 1 <= kappa_tune < math.inf:
-        raise InvalidParameterError("kappa_tune must be finite and at least 1")
-    return 4.0 * kappa_tune * np.sqrt(grid.v)
+    return 4.0 * typed_option("kappa_tune", kappa_tune, float) * np.sqrt(grid.v)
 
 
 def stream_select(
@@ -274,6 +271,7 @@ def oracle_constants(
     """
     if not (0 <= m_star <= grid.m_max):
         raise InvalidParameterError("oracle index outside the grid")
+    beta, gamma = typed_option("beta", beta, float), typed_option("gamma", gamma, float)
     v0 = grid.v[0]
     vm = grid.v[m_star]
     c1 = 2.0 * math.sqrt(3.0) / (grid.theta1**gamma - 1.0) * (v0 / vm) ** (1.0 + gamma)

@@ -15,12 +15,11 @@ reused generator rekeyed per row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, typed_option
 from .filters import FilterSpec, filter_weight
 
 
@@ -160,10 +159,7 @@ def simulate_data(problem: SpectralProblem, sigma: float, seed: int) -> np.ndarr
     The generator is counter-based: eps is the stream of
     ``np.random.Philox(seed)``, so a seed fully determines the realization.
     """
-    if not 0 < sigma < math.inf:
-        raise InvalidParameterError(f"noise level must be positive and finite, got {sigma}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
+    sigma, seed = typed_option("sigma", sigma, float), typed_option("seed", seed, int)
     key = seed_state(seed_words(seed)[None, :], 2, np.uint64)
     eps = standard_normals(key, problem.n)[0]
     return _frozen_array(problem.data_truth + sigma * eps, "y")

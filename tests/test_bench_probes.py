@@ -28,6 +28,7 @@ def test_every_probe_finds_its_name_and_accepts_its_arguments(monkeypatch):
             ExperimentConfig(problem="heat", filter_kind="tikhonov", sigma_start=1e-2,
                              sigma_stop=1e-4, sigma_count=2, runs=3, problem_params={"n": 12})
         )
+        sweep_spans = list(tracer.spans)
         problem = get_problem("heat", n=12)
         spec = FilterSpec("tikhonov")
         selectors.critical_value_z(problem, spec, 1e-1, 1e-2, 1.0)
@@ -39,6 +40,9 @@ def test_every_probe_finds_its_name_and_accepts_its_arguments(monkeypatch):
         tracer.restore()
     for module, saved in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in saved.items())
+    # build_thresholds' LTZ quantiles are seen through the genchi2 module
+    assert any(name == "genchi2.ltz_quantile_for_weights" and sweep_spans[parent][0] == "selectors.build_thresholds"
+               for name, _, _, parent in sweep_spans if parent >= 0)
     metrics = run.layer_metrics(tracer, traced_wall=1.0, untraced_wall=1.0, results_bytes=0)
     assert set(metrics) == set(run.PER_LAYER)
     assert metrics["selectors.threshold_pairs"] > 0

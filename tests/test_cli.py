@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from solit import ExperimentConfig, FilterSpec, InvalidParameterError, build_grid, run_experiment, testproblems
-from solit.cli import _merge_simulate_options, _simulate_config, build_parser, main
+from solit.cli import _options, _simulate_config, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -248,10 +248,10 @@ class TestErrors:
         ([1, 2], "must hold a JSON object, not [1, 2]"),
         ({"n": 2.7}, "option 'n' must be of type int, not 2.7"),
         ({"t_bar": "0.1", "problem": "heat"}, "option 't_bar' must be of type float, not '0.1'"),
-        ({"theta": 1}, "theta must be finite and exceed 1"),
-        ({"beta": -1}, "beta and gamma must be finite and positive"),
-        ({"gamma": 0}, "beta and gamma must be finite and positive"),
-        ({"kappa_tune": 0.5}, "kappa_tune must be finite and at least 1"),
+        ({"theta": 1}, "option 'theta' must be > 1, not 1"),
+        ({"beta": -1}, "option 'beta' must be > 0, not -1"),
+        ({"gamma": 0}, "option 'gamma' must be > 0, not 0"),
+        ({"kappa_tune": 0.5}, "option 'kappa_tune' must be >= 1, not 0.5"),
     ],
     ids=["runs", "theta", "n", "selectors-number", "selectors-mixed", "selectors-repeated", "selectors-empty", "list",
          "n-fraction", "t-bar-string", "theta-one", "beta-negative", "gamma-zero", "kappa-tune-below-one"],
@@ -551,9 +551,9 @@ class TestIncompleteResults:
             (lambda d: _negative_count_beside_a_raised_one(d / "selections.csv"),
              "'count': -7}: count outside 1..4"),
             (lambda d: _set_config_value(d / "meta.json", "beta", -1),
-             "meta.json holds no valid config: beta and gamma must be finite and positive"),
+             "meta.json holds no valid config: option 'beta' must be > 0, not -1"),
             (lambda d: _set_config_value(d / "meta.json", "kappa_tune", 0.25),
-             "meta.json holds no valid config: kappa_tune must be finite and at least 1"),
+             "meta.json holds no valid config: option 'kappa_tune' must be >= 1, not 0.25"),
         ],
         ids=["meta-grids", "grid-csv", "results-csv", "selections-csv", "extra-sigma", "missing-last-sigma",
              "missing-selector", "cell-values-disagree", "missing-histogram", "fewer-grids", "unknown-selector",
@@ -578,14 +578,22 @@ class TestIncompleteResults:
 class TestSimulateDefaults:
     def test_flag_free_simulate_uses_the_config_defaults(self):
         args = build_parser().parse_args(["simulate"])
-        config = _simulate_config(_merge_simulate_options(args))
+        config = _simulate_config(_options(args))
         assert config == ExperimentConfig(problem="antiderivative", filter_kind="tikhonov")
+
+    @pytest.mark.parametrize("command", ["reconstruct", "quantile-check"])
+    def test_flag_free_seed_and_budget_are_the_config_defaults(self, command):
+        opts = _options(build_parser().parse_args([command, "--sigma", "1e-3"]))
+        default = ExperimentConfig(problem="antiderivative", filter_kind="tikhonov")
+        assert opts["seed"] == default.seed
+        if command == "reconstruct":
+            assert (opts["beta"], opts["gamma"]) == (default.beta, default.gamma)
 
     def test_flags_and_config_values_are_typed(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"selectors": "solit,oracle", "theta": 3, "sigma_count": 4.0}))
         args = build_parser().parse_args(["simulate", "--config", str(cfg_path), "--runs", "5"])
-        config = _simulate_config(_merge_simulate_options(args))
+        config = _simulate_config(_options(args))
         assert config.selectors == ("solit", "oracle")
         assert config.theta == 3.0 and isinstance(config.theta, float)
         assert config.sigma_count == 4 and isinstance(config.sigma_count, int)

@@ -52,9 +52,9 @@ class TestFilterWeight:
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_landweber_step_must_be_positive_and_finite(self, step):
-        with pytest.raises(InvalidParameterError, match="relaxation step"):
+        with pytest.raises(InvalidParameterError, match="^option 'landweber_step' must be "):
             FilterSpec("landweber", landweber_step=step)
-        with pytest.raises(InvalidParameterError, match="relaxation step"):
+        with pytest.raises(InvalidParameterError, match="^option 'landweber_step' must be "):
             FilterSpec.for_spectrum("landweber", [1.0, 0.5], landweber_step=step)
 
     def test_vectorized_matches_scalar(self):

@@ -16,11 +16,13 @@ from solit import (
     build_grid,
     critical_value_z,
     cumulant_traces,
+    get_problem,
     ltz_quantile_for_weights,
     ltz_tail_quantile,
     ltz_tail_sf,
     noncentral_chi2_sf,
 )
+from solit.candidates import line_search_variance
 from solit.filters import filter_weight
 from solit import genchi2
 from solit.genchi2 import mc_sample_quadratic_form, mc_tail_quantiles
@@ -70,6 +72,28 @@ class TestNonFiniteWeightsRejected:
     def test_mc_tail_quantiles(self, w):
         with pytest.raises(InvalidParameterError):
             mc_tail_quantiles(w, [0.1], 1000, seed=0)
+
+
+_HEAT12 = get_problem("heat", n=12)
+_W = np.array([1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: line_search_variance(_HEAT12, FilterSpec("tikhonov"), math.nan, 0.1, (1e-3, 1.0)),
+      "target variance must be positive and finite, not nan"),
+     (lambda: line_search_variance(_HEAT12, FilterSpec("tikhonov"), 1.0, math.nan, (1e-3, 1.0)),
+      "tolerance must be positive and finite, not nan"),
+     (lambda: ltz_quantile_for_weights(_W, math.nan), "tail probability must lie strictly in (0, 1)"),
+     (lambda: mc_tail_quantiles(_W, [math.nan], 1000, 7), "tail probabilities must lie strictly in (0, 1)"),
+     (lambda: mc_tail_quantiles(_W, [0.5], None, 7), "option 'samples' must be of type int, not None"),
+     (lambda: ltz_tail_sf(cumulant_traces(_W), math.nan), "tail point must be a number, not nan")],
+    ids=["line-search-target", "line-search-tol", "ltz-p", "mc-p", "mc-samples-none", "ltz-sf-t"],
+)
+def test_nan_arguments_of_the_numeric_helpers_are_rejected(call, message):
+    with pytest.raises(InvalidParameterError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestNoncentralChi2:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import tracemalloc
 
@@ -31,7 +32,7 @@ from solit import (
     verify_oracle_inequality,
     write_results,
 )
-from solit import candidates, harness, selectors
+from solit import candidates, genchi2, harness, selectors
 from solit.harness import (
     _pairwise_distance_table,
     _run_keys,
@@ -47,7 +48,9 @@ from solit.selectors import (
     solit_select,
     stream_select,
 )
+from solit.cli import main as cli_main
 from solit.filters import filter_weight
+from solit.genchi2 import mc_sample_quadratic_form, mc_tail_quantiles
 from solit.sequence_model import estimator_weights
 from conftest import bias_norms, force_cpus, record_started_threads
 
@@ -86,28 +89,66 @@ class TestFitRate:
 
 
 class TestOutOfRangeTuningRejected:
+    """Each bad value of an option gets one message (``errors.typed_option``)
+    from ExperimentConfig and from every function that takes the option."""
+
     @pytest.mark.parametrize(
         "name, value",
-        [("theta", math.nan), ("theta", math.inf), ("theta", 1.0), ("beta", math.nan), ("beta", math.inf),
-         ("beta", -1.0), ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.0), ("kappa_tune", math.nan),
-         ("kappa_tune", math.inf), ("kappa_tune", 0.5), ("sigma_start", math.inf), ("sigma_stop", math.nan),
-         ("seed", -1)],
+        [("theta", math.nan), ("theta", math.inf), ("theta", 1.0), ("theta", True), ("beta", math.nan),
+         ("beta", math.inf), ("beta", -1.0), ("beta", True), ("gamma", math.nan), ("gamma", math.inf),
+         ("gamma", 0.0), ("kappa_tune", math.nan), ("kappa_tune", math.inf), ("kappa_tune", 0.5),
+         ("kappa_tune", True), ("sigma_start", math.inf), ("sigma_stop", math.nan), ("sigma_stop", 0.0),
+         ("sigma", 0.0), ("sigma", math.nan), ("sigma", True), ("seed", -1), ("seed", 2.5), ("seed", True),
+         ("runs", 0), ("sigma_count", 0), ("samples", 0), ("samples", None), ("landweber_step", 0.0),
+         ("landweber_step", True)],
     )
-    def test_config_and_the_function_that_uses_the_value(self, name, value, small_heat):
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(problem="heat", filter_kind="tikhonov", **{name: value})
+    def test_config_and_every_function_that_takes_the_value(self, name, value, small_heat):
         spec = FilterSpec("tikhonov")
         grid = build_grid(small_heat, spec, 1e-3)
+        w = np.array([1.0, 0.5])
         uses = {
-            "theta": lambda: build_grid(small_heat, spec, 1e-3, theta=value),
-            "beta": lambda: build_thresholds(small_heat, spec, grid, beta=value),
-            "gamma": lambda: build_thresholds(small_heat, spec, grid, gamma=value),
-            "kappa_tune": lambda: lepskii_select(np.zeros((grid.m_max + 1,) * 2), grid, kappa_tune=value),
-            "seed": lambda: simulate_data(small_heat, 1e-3, value),
-        }
-        if name in uses:
-            with pytest.raises(InvalidParameterError):
-                uses[name]()
+            "theta": [lambda: build_grid(small_heat, spec, 1e-3, theta=value)],
+            "beta": [lambda: build_thresholds(small_heat, spec, grid, beta=value),
+                     lambda: oracle_constants(grid, 1, 1e-6, value, 1.0)],
+            "gamma": [lambda: build_thresholds(small_heat, spec, grid, gamma=value),
+                      lambda: oracle_constants(grid, 1, 1e-6, 1.0, value)],
+            "kappa_tune": [lambda: lepskii_limits(grid, value),
+                           lambda: lepskii_select(np.zeros((grid.m_max + 1,) * 2), grid, kappa_tune=value)],
+            "sigma": [lambda: simulate_data(small_heat, value, 3), lambda: build_grid(small_heat, spec, value)],
+            "seed": [lambda: simulate_data(small_heat, 1e-3, value), lambda: mc_sample_quadratic_form(w, 10, value),
+                     lambda: mc_tail_quantiles(w, [0.5], 1000, value)],
+            "samples": [lambda: mc_sample_quadratic_form(w, value, 7), lambda: mc_tail_quantiles(w, [0.5], value, 7)],
+            "landweber_step": [lambda: FilterSpec("landweber", landweber_step=value)],
+        }.get(name, [])
+        if name in {f.name for f in dataclasses.fields(ExperimentConfig)}:
+            uses.append(lambda: ExperimentConfig(problem="heat", filter_kind="tikhonov", **{name: value}))
+        assert grid.m_max >= 1 and uses
+        messages = set()
+        for use in uses:
+            with pytest.raises(InvalidParameterError) as caught:
+                use()
+            messages.add(str(caught.value))
+        assert len(messages) == 1, messages
+        assert re.fullmatch(rf"option '{name}' must be (of type \w+|>=? \d), not {re.escape(repr(value))}",
+                            messages.pop())
+
+    @pytest.mark.parametrize(
+        "commands",
+        [[["quantile-check", "--sigma", "1e-2", "--seed", "-3"], ["reconstruct", "--sigma", "1e-2", "--seed", "-3"],
+          ["simulate", "--seed", "-3"]],
+         [["reconstruct", "--sigma", "1e-2", "--beta", "nan"], ["simulate", "--beta", "nan"]],
+         [["candidates", "--sigma", "0"], ["quantile-check", "--sigma", "0"], ["reconstruct", "--sigma", "0"]]],
+        ids=["seed", "beta", "sigma"],
+    )
+    def test_every_subcommand_gives_one_message(self, commands, tmp_path, capsys):
+        messages = set()
+        for argv in commands:
+            out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+            assert cli_main(argv + ["--problem", "heat", "--n", "24"] + out) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            messages.add(err.split(": error: ", 1)[1])
+        assert len(messages) == 1, messages
 
 
 class TestOptionTypes:
@@ -245,7 +286,7 @@ class TestRunExperiment:
             (harness, "build_grid"),
             (harness, "build_thresholds"),
             (candidates, "line_search_variance"),
-            (selectors, "ltz_quantile_for_weights"),
+            (genchi2, "ltz_quantile_for_weights"),
             (harness, "_pairwise_distance_table"),
         ]:
             count(module, name)
