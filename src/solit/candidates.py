@@ -123,7 +123,8 @@ class CandidateGrid:
     ``v`` holds v_m = sigma^2 * V(alpha_m); ratios v_m / v_{m-1} lie in
     [theta1, theta2].  ``theta2`` may exceed ``theta2_requested`` when a
     discrete admissible set forces an overshoot; ``theta2_enlarged`` is
-    derived from the two, not stored.
+    derived from the two, not stored.  ``sigma`` is typed as the option of
+    that name (``errors.typed_option``): a positive, finite float.
     """
 
     alphas: np.ndarray
@@ -147,6 +148,7 @@ class CandidateGrid:
         v.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "sigma", typed_option("sigma", self.sigma, float))
 
     @property
     def theta2_enlarged(self) -> bool:

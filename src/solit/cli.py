@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -42,6 +43,7 @@ from .testproblems import DOMAINS, get_problem, synthesize
 _QUANTILE_CHECK_TAILS = (math.exp(-1), math.exp(-2), math.exp(-4))
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+_CONFIG_KINDS = typing.get_type_hints(ExperimentConfig)
 # the sweep options default as in ExperimentConfig; the others are CLI-only
 _SIM_DEFAULTS = {"problem": "antiderivative", "filter": "tikhonov", **_CONFIG_DEFAULTS,
                  "n": None, "R": None, "t_bar": None, "out": None}
@@ -132,6 +134,9 @@ def _options(args: argparse.Namespace) -> dict:
     opts.update({key: value for key, value in vars(args).items() if value is not None})
     if isinstance(opts["selectors"], str):
         opts["selectors"] = [name for name in opts["selectors"].split(",") if name]
+    # typed here, so that a subcommand rejects a bad flag it never reads
+    # (reconstruct --alpha builds no grid); ExperimentConfig types them again
+    opts.update({key: typed_option(key, opts[key], _CONFIG_KINDS[key]) for key in _CONFIG_DEFAULTS})
     return opts
 
 
@@ -182,7 +187,6 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 def _cmd_quantile_check(args: argparse.Namespace) -> int:
     opts, problem, spec = _problem_and_filter(args)
-    master = typed_option("seed", opts["seed"], int)
     grid = build_grid(problem, spec, opts["sigma"], opts["theta"])
     w_rows = estimator_weights(problem, spec, grid.alphas)
     # every row before any output, so a bad value leaves only the error line
@@ -190,7 +194,7 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
     for m1 in range(grid.m_max):
         m2 = m1 + 1
         weights = (w_rows[m1] - w_rows[m2]) ** 2
-        seed = int(np.random.SeedSequence((master, m1)).generate_state(1, np.uint64)[0])
+        seed = int(np.random.SeedSequence((opts["seed"], m1)).generate_state(1, np.uint64)[0])
         mcs = mc_tail_quantiles(weights, _QUANTILE_CHECK_TAILS, opts["mc_samples"], seed)
         for p, mc in zip(_QUANTILE_CHECK_TAILS, mcs):
             ltz = ltz_quantile_for_weights(weights, p)

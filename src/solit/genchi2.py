@@ -11,8 +11,13 @@ The independent cross-check is a seeded Monte Carlo sampler.  It only ever
 needs the squares eps_i^2, and draws them in pairs by squared Box-Muller:
 with R^2 = -2 ln U and theta = pi V for independent uniforms U and V,
 R^2 cos^2(theta) and R^2 sin^2(theta) are two independent chi-squared(1)
-variables (Box & Muller 1958, Ann. Math. Statist. 29).  It draws only the
-weights that matter: the smallest ones are folded into their exact mean,
+variables (Box & Muller 1958, Ann. Math. Statist. 29).  Each block of
+squares is built in place in the block's own random words, 4 bytes per
+square: U comes from the first half of the block's 32-bit values and theta
+from the second.  So the draws depend on the seed, the weights and the
+block size ``_BLOCK_ELEMENTS``, but not on the CPU count.  The sampler
+draws only the weights that matter: the smallest ones are folded into their
+exact mean,
 sum a_i, which is added to every draw.  By Laurent & Massart (2000, Ann.
 Statist. 28, Lemma 1) the folded part sum_F a_i (eps_i^2 - 1) of one draw
 exceeds 2 ||a_F||_2 sqrt(x) + 2 max(a_F) x with probability at most e^-x and
@@ -36,7 +41,7 @@ from .parallel import cpu_count, map_on_cpus
 from .sequence_model import SpectralProblem
 
 _POISSON_MASS_TOL = 1e-14
-_BLOCK_ELEMENTS = 2**16  # squared normals per Monte Carlo block
+_BLOCK_ELEMENTS = 2**17  # squared normals per Monte Carlo block
 _FOLD_TOL = 1e-6  # folded deviation allowed per draw, relative to E[Z]
 _FOLD_LOG_RISK = 14.0  # some draw of a call breaks the fold bound with probability <= e^-14
 
@@ -180,19 +185,23 @@ def _fill_blocks(z: np.ndarray, a32: np.ndarray, bitgen, start: int, stop: int, 
     k = a32.size
     for lo in range(start, stop, rows):
         m = min(rows, stop - lo)
-        need = (m * k + 1) // 2
-        words = bitgen.random_raw(need).view(np.uint32).reshape(need, 2)
-        r2 = np.add(words[:, 0], np.float32(0.5), dtype=np.float32)
-        r2 *= np.float32(2.0**-32)
-        np.log(r2, out=r2)
-        r2 *= np.float32(-2.0)
-        cos2 = np.multiply(words[:, 1], np.float32(math.pi * 2.0**-32), dtype=np.float32)
-        np.cos(cos2, out=cos2)
-        cos2 *= cos2
-        pairs = np.empty((need, 2), dtype=np.float32)
-        np.multiply(r2, cos2, out=pairs[:, 0])
-        np.subtract(r2, pairs[:, 0], out=pairs[:, 1])
-        z[lo : lo + m] = pairs.reshape(-1)[: m * k].reshape(m, k) @ a32
+        h = (m * k + 1) // 2  # the block's 64-bit words, and the 32-bit values of each half
+        raw = bitgen.random_raw(h)
+        f = raw.view(np.float32)
+        # each 32-bit value as a float32, in place: a contiguous cast onto the
+        # same positions reads every value before it writes it
+        np.copyto(f, raw.view(np.uint32), casting="unsafe")
+        u, theta = f[:h], f[h:]
+        u += np.float32(0.5)
+        u *= np.float32(2.0**-32)
+        np.log(u, out=u)
+        u *= np.float32(-2.0)  # R^2
+        theta *= np.float32(math.pi * 2.0**-32)
+        np.cos(theta, out=theta)
+        theta *= theta
+        theta *= u  # R^2 cos^2 theta
+        u -= theta  # R^2 sin^2 theta
+        z[lo : lo + m] = f[: m * k].reshape(m, k) @ a32
 
 
 def _fold(a: np.ndarray, samples: int) -> tuple[np.ndarray, float]:
@@ -229,17 +238,21 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
     e^-14.  A single weight folds nothing, nor do equal weights short of
     some 3e7 of them.
 
-    The squared normals come in squared Box-Muller pairs, one 64-bit word of
-    a ``PCG64DXSM(seed)`` stream per pair.  The word's two 32-bit halves u
-    and v give U = (u + 1/2) 2^-32 in (0, 1], R^2 = -2 ln U and
-    theta = pi v 2^-32, and the pair is (R^2 cos^2 theta, R^2 - R^2 cos^2
-    theta).  The pairs fill each (samples, kept weights) block row by row,
-    and every block but the last holds an even number of squares, so the
-    squared normals do not depend on the block size.  All of it runs in
-    float32: each eps^2 carries about 1e-7 relative rounding, far below the
-    Monte Carlo noise.  The largest possible square is -2 ln 2^-33 = 45.75;
-    the chi-squared(1) mass beyond it is 1.3e-11, out of reach of any
-    supported sample size.
+    The squared normals come in squared Box-Muller pairs from a
+    ``PCG64DXSM(seed)`` stream, one block of ``rows`` draws (about
+    ``_BLOCK_ELEMENTS`` squares, an even number but in the last block) at a
+    time.  A block of s squares takes h = ceil(s / 2) 64-bit words, read as
+    2h 32-bit values and converted to float32 in place: value j < h is u and
+    value h + j is v of pair j, with U = (u + 1/2) 2^-32 in (0, 1],
+    R^2 = -2 ln U and theta = pi v 2^-32.  The buffer then holds
+    R^2 - R^2 cos^2 theta at j and R^2 cos^2 theta at h + j, and its first s
+    values, row by row, are the block's (rows, kept weights) squares, which
+    one float32 GEMV contracts: 4 bytes per square in all.  So the draws
+    depend on the seed, the weights and ``_BLOCK_ELEMENTS``, which fixes the
+    pairing.  All of it runs in float32: each eps^2 carries about 1e-7
+    relative rounding, far below the Monte Carlo noise.  The largest
+    possible square is -2 ln 2^-33 = 45.75; the chi-squared(1) mass beyond
+    it is 1.3e-11, out of reach of any supported sample size.
 
     The blocks are split into contiguous runs, one per CPU of the process's
     affinity set (never more runs than blocks), which ``parallel.map_on_cpus``
@@ -273,9 +286,9 @@ def mc_sample_quadratic_form(w, samples: int, seed: int) -> np.ndarray:
 
 def mc_tail_quantiles(w, ps, samples: int, seed: int) -> np.ndarray:
     """Empirical upper-tail quantiles at several tail probabilities from a
-    single batch of seeded draws."""
-    if typed_option("samples", samples, int) < 1000:
-        raise InvalidParameterError(f"at least 1000 Monte Carlo samples are required, not {samples!r}")
+    single batch of ``samples`` seeded draws, at least 1000 (the range of the
+    ``mc_samples`` option)."""
+    samples = typed_option("mc_samples", samples, int)
     ps = np.asarray(ps, dtype=float)
     if not np.all((0 < ps) & (ps < 1)):
         raise InvalidParameterError("tail probabilities must lie strictly in (0, 1)")

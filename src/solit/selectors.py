@@ -251,8 +251,6 @@ def optimal_select(errors) -> int | np.ndarray:
 
 def noise_level_select(grid: CandidateGrid) -> int:
     """Candidate whose alpha is closest to the grid's sigma on the log scale."""
-    if not 0 < grid.sigma < math.inf:
-        raise InvalidParameterError("noise level must be positive and finite")
     return int(np.argmin(np.abs(np.log(grid.alphas) - math.log(grid.sigma))))
 
 

@@ -101,6 +101,28 @@ class TestLineSearch:
         assert v == variance_V(small_heat, spec, alpha)
 
 
+class TestCandidateGrid:
+    @pytest.mark.parametrize(
+        ("sigma", "message"),
+        [
+            (0.0, "option 'sigma' must be > 0, not 0.0"),
+            (-1e-3, "option 'sigma' must be > 0, not -0.001"),
+            (math.nan, "option 'sigma' must be of type float, not nan"),
+            (math.inf, "option 'sigma' must be of type float, not inf"),
+            ("0.1", "option 'sigma' must be of type float, not '0.1'"),
+        ],
+    )
+    def test_sigma_is_typed_as_the_option(self, sigma, message):
+        with pytest.raises(InvalidParameterError) as caught:
+            candidates.CandidateGrid(alphas=[1.0, 0.1], v=[0.5, 1.0], theta1=1.5, theta2=2.5, sigma=sigma)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("sigma", [1, np.float64(0.25)])
+    def test_sigma_stored_as_a_float(self, sigma):
+        grid = candidates.CandidateGrid(alphas=[1.0, 0.1], v=[0.5, 1.0], theta1=1.5, theta2=2.5, sigma=sigma)
+        assert type(grid.sigma) is float and grid.sigma == sigma
+
+
 class TestBuildGrid:
     @pytest.mark.parametrize("kind", ["tikhonov", "showalter"])
     @pytest.mark.parametrize("name", ["antiderivative", "gradiometry", "heat"])

@@ -235,6 +235,35 @@ class TestErrors:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("samples", ["0", "500"])
+def test_too_few_mc_samples_give_one_message(samples, capsys):
+    argv = ["quantile-check", "--problem", "heat", "--n", "12", "--sigma", "1e-2", "--mc-samples", samples]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solit quantile-check: error: option 'mc_samples' must be >= 1000, not {samples}\n"
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (("--beta", "nan", "--theta", "-4"), "option 'theta' must be > 1, not -4.0"),
+        (("--beta", "nan"), "option 'beta' must be of type float, not nan"),
+        (("--gamma", "0"), "option 'gamma' must be > 0, not 0.0"),
+        (("--landweber-step", "inf"), "option 'landweber_step' must be of type float, not inf"),
+    ],
+    ids=["beta-and-theta", "beta", "gamma", "landweber-step"],
+)
+def test_reconstruct_at_a_fixed_alpha_checks_every_flag(flags, message, capsys):
+    # --alpha skips the grid and the thresholds, which read theta, beta and gamma
+    argv = ["reconstruct", "--problem", "heat", "--n", "24", "--filter", "tikhonov", "--sigma", "1e-3",
+            "--alpha", "1e-3", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solit reconstruct: error: {message}\n"
+
+
 @pytest.mark.parametrize(
     ("config", "message"),
     [

@@ -86,7 +86,7 @@ _W = np.array([1.0, 0.5, 0.25])
       "tolerance must be positive and finite, not nan"),
      (lambda: ltz_quantile_for_weights(_W, math.nan), "tail probability must lie strictly in (0, 1)"),
      (lambda: mc_tail_quantiles(_W, [math.nan], 1000, 7), "tail probabilities must lie strictly in (0, 1)"),
-     (lambda: mc_tail_quantiles(_W, [0.5], None, 7), "option 'samples' must be of type int, not None"),
+     (lambda: mc_tail_quantiles(_W, [0.5], None, 7), "option 'mc_samples' must be of type int, not None"),
      (lambda: ltz_tail_sf(cumulant_traces(_W), math.nan), "tail point must be a number, not nan")],
     ids=["line-search-target", "line-search-tol", "ltz-p", "mc-p", "mc-samples-none", "ltz-sf-t"],
 )
@@ -310,29 +310,49 @@ class TestMcSampler:
         assert np.array_equal(z, mc_sample_quadratic_form(a, 5001, seed=11))
         assert not np.array_equal(z, mc_sample_quadratic_form(a, 5001, seed=12))
 
-    @pytest.mark.parametrize("a", [[1.0], [1.0, 1.0]])
-    def test_stream_independent_of_block_size(self, a, monkeypatch):
-        # unit weights make the float32 contraction exact, so the draws
-        # themselves are compared bit for bit
-        ref = mc_sample_quadratic_form(a, 1001, seed=9)
-        for elements in (1, 5, 10, 64):
-            monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
-            assert np.array_equal(mc_sample_quadratic_form(a, 1001, seed=9), ref)
+    @staticmethod
+    def layout_reference(a, samples, seed, rows):
+        """The draws of weights that fold nothing, block by block on fresh
+        arrays: each block's 64-bit words split into 2h 32-bit values, U from
+        the first h, theta from the last h, R^2 sin^2 theta then R^2 cos^2
+        theta."""
+        a32 = np.asarray(a, dtype=np.float32)
+        k = a32.size
+        bitgen = np.random.PCG64DXSM(seed)
+        z = np.empty(samples)
+        for lo in range(0, samples, rows):
+            m = min(rows, samples - lo)
+            h = (m * k + 1) // 2
+            values = bitgen.random_raw(h).view(np.uint32).copy()
+            u = (values[:h].astype(np.float32) + np.float32(0.5)) * np.float32(2.0**-32)
+            r2 = np.log(u) * np.float32(-2.0)
+            cos = np.cos(values[h:].astype(np.float32) * np.float32(math.pi * 2.0**-32))
+            r2cos2 = r2 * (cos * cos)
+            squares = np.concatenate([r2 - r2cos2, r2cos2])[: m * k]
+            z[lo : lo + m] = squares.reshape(m, k) @ a32
+        return z
 
-    @pytest.mark.parametrize("a", [[1.0, 0.5, 0.25], [1.0, 3.0, 0.1, 2.0]])
-    def test_mixed_weights_independent_of_block_size(self, a, monkeypatch):
-        # the contraction may sum in another order per block size; a shifted
-        # stream would move the draws by far more than float32 rounding
-        ref = mc_sample_quadratic_form(a, 1001, seed=9)
-        for elements in (1, 5, 10, 64):
+    @pytest.mark.parametrize("a", [[1.0, 3.0, 0.1], [1.0, 3.0, 0.1, 2.0]])
+    @pytest.mark.parametrize("elements", [64, None])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draws_match_a_plain_build_of_the_block_layout(self, a, elements, cpus, monkeypatch):
+        # k = 3: blocks of 20 rows and a last block of 1 row, or one block of
+        # 1001 rows, an odd number of squares either way; k = 4: blocks of 16
+        # rows and a last of 9, or one block
+        if elements is not None:
             monkeypatch.setattr(genchi2, "_BLOCK_ELEMENTS", elements)
-            np.testing.assert_allclose(mc_sample_quadratic_form(a, 1001, seed=9), ref, rtol=1e-6, atol=0.0)
+        force_cpus(monkeypatch, cpus)
+        samples = 1001
+        assert genchi2._fold(np.array(a), samples)[0].all()
+        rows = max(2, min(genchi2._BLOCK_ELEMENTS // len(a), samples + 1) & ~1)
+        z = mc_sample_quadratic_form(a, samples, seed=9)
+        assert np.array_equal(z, self.layout_reference(a, samples, 9, rows))
 
     @pytest.mark.parametrize(
         ("a", "samples", "elements"),
         [
-            ([1.0], 200_001, None),  # 4 blocks of 65536 rows
-            ([1.0, 3.0, 0.1, 2.0, 1e-3, 0.7, 5.0], 200_001, None),  # 22 blocks of 9362 rows
+            ([1.0], 200_001, None),  # 2 blocks of 131072 rows
+            ([1.0, 3.0, 0.1, 2.0, 1e-3, 0.7, 5.0], 200_001, None),  # 11 blocks of 18724 rows
             ([1.0, 0.5, 0.25], 1001, 64),  # 51 blocks of 20 rows
             ([1.0, 3.0, 0.1, 2.0], 11, 10),  # 6 blocks of 2 rows, fewer than 7 CPUs
         ],
@@ -399,9 +419,9 @@ class TestMcSampler:
                 return np.zeros(size, dtype=np.uint64)
 
         monkeypatch.setattr(genchi2.np.random, "PCG64DXSM", ZeroWords)
-        z = mc_sample_quadratic_form([1.0], 4, seed=0)
-        assert np.array_equal(z[1::2], np.zeros(2))
-        np.testing.assert_allclose(z[0::2], -2.0 * math.log(2.0**-33), rtol=1e-6)
+        z = mc_sample_quadratic_form([1.0], 4, seed=0)  # one block: U from z[:2], theta = 0 from z[2:]
+        assert np.array_equal(z[:2], np.zeros(2))
+        np.testing.assert_allclose(z[2:], -2.0 * math.log(2.0**-33), rtol=1e-6)
         assert z.max() <= 45.8
 
     def test_mean_and_variance(self):

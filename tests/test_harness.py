@@ -99,8 +99,8 @@ class TestOutOfRangeTuningRejected:
          ("gamma", 0.0), ("kappa_tune", math.nan), ("kappa_tune", math.inf), ("kappa_tune", 0.5),
          ("kappa_tune", True), ("sigma_start", math.inf), ("sigma_stop", math.nan), ("sigma_stop", 0.0),
          ("sigma", 0.0), ("sigma", math.nan), ("sigma", True), ("seed", -1), ("seed", 2.5), ("seed", True),
-         ("runs", 0), ("sigma_count", 0), ("samples", 0), ("samples", None), ("landweber_step", 0.0),
-         ("landweber_step", True)],
+         ("runs", 0), ("sigma_count", 0), ("samples", 0), ("samples", None), ("mc_samples", 999),
+         ("mc_samples", None), ("landweber_step", 0.0), ("landweber_step", True)],
     )
     def test_config_and_every_function_that_takes_the_value(self, name, value, small_heat):
         spec = FilterSpec("tikhonov")
@@ -117,7 +117,8 @@ class TestOutOfRangeTuningRejected:
             "sigma": [lambda: simulate_data(small_heat, value, 3), lambda: build_grid(small_heat, spec, value)],
             "seed": [lambda: simulate_data(small_heat, 1e-3, value), lambda: mc_sample_quadratic_form(w, 10, value),
                      lambda: mc_tail_quantiles(w, [0.5], 1000, value)],
-            "samples": [lambda: mc_sample_quadratic_form(w, value, 7), lambda: mc_tail_quantiles(w, [0.5], value, 7)],
+            "samples": [lambda: mc_sample_quadratic_form(w, value, 7)],
+            "mc_samples": [lambda: mc_tail_quantiles(w, [0.5], value, 7)],
             "landweber_step": [lambda: FilterSpec("landweber", landweber_step=value)],
         }.get(name, [])
         if name in {f.name for f in dataclasses.fields(ExperimentConfig)}:
@@ -129,7 +130,7 @@ class TestOutOfRangeTuningRejected:
                 use()
             messages.add(str(caught.value))
         assert len(messages) == 1, messages
-        assert re.fullmatch(rf"option '{name}' must be (of type \w+|>=? \d), not {re.escape(repr(value))}",
+        assert re.fullmatch(rf"option '{name}' must be (of type \w+|>=? \d+), not {re.escape(repr(value))}",
                             messages.pop())
 
     @pytest.mark.parametrize(
