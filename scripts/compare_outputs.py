@@ -29,12 +29,17 @@ started a thread, or its outputs differ from NEW_SRC's on every CPU in
 anything.  The single-CPU run writes no files: its meta.json records one cell
 thread.
 
-The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs):
-  - the 3 problems x 4 filters, without heat/landweber, at the acceptance
-    spans (antiderivative sigma in [1e-5, 3e-2], gradiometry and heat in
-    [1e-8, 1e-2]), master seeds 1, 2 and 3;
+The sweeps (theta=2, beta=gamma=1, 8 geometric noise levels, 200 runs) take
+the acceptance spans (antiderivative sigma in [1e-5, 3e-2], gradiometry and
+heat in [1e-8, 1e-2]), the filter list and the heat/landweber exclusion from
+the benchmark's ``perfbench/workloads.py``:
+  - the 3 problems x 4 filters, without heat/landweber, master seeds 1, 2
+    and 3;
   - tikhonov on the 3 problems at master seeds 2^32, 2^64+1 and 2^70+3;
-  - antiderivative at n=8000, tikhonov, sigma in [1e-9, 1e-2], seed 42.
+  - antiderivative at n=8000, tikhonov, sigma in [1e-9, 1e-2], seed 42;
+  - gradiometry/cutoff noise-free, where every run sees the exact data;
+  - heat/tikhonov at seed 1 with the selectors noise-level, lepskii and
+    optimal only, in that order.
 
 The draws: the pairs and draw count of the benchmark's quantile-mc workload
 (``perfbench/workloads.py``: 200 000 draws for each of the 40 adjacent
@@ -48,11 +53,12 @@ to LTZ, |LTZ - MC| / MC, then the worst gap of each tree, so that a sampler
 change that keeps the law but moves the draws can be judged from one run.
 The quantiles are a report only: the exit status does not read them.
 
-The reconstruct cases: the 3 problems at their default sizes x {tikhonov,
-showalter, cutoff} x sigma in {1e-2, 1e-4} x seeds 1 to 5, with the default
-theta, beta and gamma; and each problem with tikhonov at sigma 1e-2 without
-a --seed flag, so the default seed is compared too.  The chosen index is the position of the printed
-alpha in the grid ``build_grid`` gives for the case.
+The reconstruct cases: the 3 problems at their default sizes x the
+benchmark's acceptance filters {tikhonov, showalter, cutoff} x sigma in
+{1e-2, 1e-4} x seeds 1 to 5, with the default theta, beta and gamma; and
+each problem with tikhonov at sigma 1e-2 without a --seed flag, so the
+default seed is compared too.  The chosen index is the position of the
+printed alpha in the grid ``build_grid`` gives for the case.
 """
 
 from __future__ import annotations
@@ -68,18 +74,22 @@ import subprocess
 import sys
 import tempfile
 
-SPANS = {
-    "antiderivative": (3e-2, 1e-5),
-    "gradiometry": (1e-2, 1e-8),
-    "heat": (1e-2, 1e-8),
-}
-FILTERS = ("tikhonov", "showalter", "cutoff", "landweber")
-EXCLUDED = {("heat", "landweber")}  # raises ConfigurationError at the declared span
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from workloads import (  # noqa: E402 - found on the path set above
+    ACCEPTANCE_FILTERS,
+    ALL_FILTERS,
+    QUANTILE_DRAWS,
+    QUANTILE_TAILS,
+    SPANS,
+    TABLES_EXCLUDED,
+    quantile_pairs,
+)
+
 LARGE_MASTERS = (2**32, 2**64 + 1, 2**70 + 3)
+SUBSET = ("noise-level", "lepskii", "optimal")
 RUNS = 200
 MSE_RTOL = 1e-14
 DRAW_MASTERS = (42, 7)
-RECONSTRUCT_FILTERS = ("tikhonov", "showalter", "cutoff")
 RECONSTRUCT_SIGMAS = ("1e-2", "1e-4")
 RECONSTRUCT_SEEDS = (1, 2, 3, 4, 5)
 
@@ -89,8 +99,8 @@ def cells() -> list[dict]:
     out = []
     for seed in (1, 2, 3):
         for problem, (start, stop) in SPANS.items():
-            for filt in FILTERS:
-                if (problem, filt) not in EXCLUDED:
+            for filt in ALL_FILTERS:
+                if (problem, filt) not in TABLES_EXCLUDED:
                     out.append(dict(problem=problem, filter_kind=filt, sigma_start=start,
                                     sigma_stop=stop, seed=seed))
     for seed in LARGE_MASTERS:
@@ -99,13 +109,17 @@ def cells() -> list[dict]:
                             sigma_stop=stop, seed=seed))
     out.append(dict(problem="antiderivative", filter_kind="tikhonov", sigma_start=1e-2,
                     sigma_stop=1e-9, seed=42, problem_params={"n": 8000}))
+    for problem, filt, extra in (("gradiometry", "cutoff", {"noise_free": True}),
+                                 ("heat", "tikhonov", {"selectors": SUBSET})):
+        start, stop = SPANS[problem]
+        out.append(dict(problem=problem, filter_kind=filt, sigma_start=start, sigma_stop=stop, seed=1, **extra))
     return out
 
 
 def reconstruct_cases() -> list[tuple[str, str, str, int | None]]:
     """The reconstruct cases as (problem, filter, sigma, seed); a seed of None
     passes no --seed flag."""
-    return [(problem, filt, sigma, seed) for problem in SPANS for filt in RECONSTRUCT_FILTERS
+    return [(problem, filt, sigma, seed) for problem in SPANS for filt in ACCEPTANCE_FILTERS
             for sigma in RECONSTRUCT_SIGMAS for seed in RECONSTRUCT_SEEDS] + [
         (problem, "tikhonov", RECONSTRUCT_SIGMAS[0], None) for problem in SPANS]
 
@@ -129,7 +143,8 @@ def reconstruct_pick(solit, problem: str, filt: str, sigma: str, seed: int | Non
 def label(cell: dict) -> str:
     n = cell.get("problem_params", {}).get("n")
     size = f"(n={n})" if n else ""
-    return f"{cell['problem']}{size}/{cell['filter_kind']}/seed={cell['seed']}"
+    extra = "/noise-free" * cell.get("noise_free", False) + "".join(f"/{name}" for name in cell.get("selectors", ()))
+    return f"{cell['problem']}{size}/{cell['filter_kind']}/seed={cell['seed']}{extra}"
 
 
 def written_files(result, write_results) -> dict:
@@ -162,9 +177,6 @@ def dump(one_cpu: bool) -> None:
     import solit
     from solit import ExperimentConfig, run_experiment, write_results
     from solit.genchi2 import ltz_quantile_for_weights, mc_sample_quadratic_form
-
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-    from workloads import QUANTILE_DRAWS, QUANTILE_TAILS, quantile_pairs
 
     started = []
     start_thread = threading.Thread.start

@@ -206,19 +206,17 @@ def _cmd_quantile_check(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     opts, problem, spec = _problem_and_filter(args)
-    if opts["points"] < 1:
-        raise InvalidParameterError("--points must be at least 1")
+    points = typed_option("points", opts["points"], int)
+    alpha = typed_option("alpha", opts.get("alpha"), float | None)
     y = simulate_data(problem, opts["sigma"], opts["seed"])
-    if opts.get("alpha") is not None:
-        alpha = opts["alpha"]
-    else:
+    if alpha is None:
         grid = build_grid(problem, spec, opts["sigma"], opts["theta"])
         thresholds = build_thresholds(problem, spec, grid, opts["beta"], opts["gamma"])
         # the rule and the distances of the sweeps, for one realization
         pick = stream_select(y[None] ** 2, thresholds.weights, {"solit": thresholds.kappa})["solit"][0]
         alpha = float(grid.alphas[pick])
     coeffs = estimate(problem, y, spec, alpha)
-    xs = np.linspace(*DOMAINS[opts["problem"]], opts["points"])
+    xs = np.linspace(*DOMAINS[opts["problem"]], points)
     values = synthesize(opts["problem"], coeffs, xs, **_problem_params(opts))
     print(f"# alpha={alpha:.9g}")
     print("x,value")

@@ -20,11 +20,12 @@ class ConfigurationError(RuntimeError):
 
 # (bound, comparison) of each option with a range: the grid ratio theta > 1
 # and the threshold budget beta, gamma > 0 keep the oracle inequality's
-# constants finite; empirical tail quantiles need mc_samples >= 1000 draws
+# constants finite; empirical tail quantiles need mc_samples >= 1000 draws;
+# reconstruct's fixed alpha > 0 is a regularization parameter
 _RANGES = {
-    **dict.fromkeys(("beta", "gamma", "sigma", "sigma_start", "sigma_stop", "landweber_step"), (0, ">")),
+    **dict.fromkeys(("alpha", "beta", "gamma", "sigma", "sigma_start", "sigma_stop", "landweber_step"), (0, ">")),
     "theta": (1, ">"),
-    **dict.fromkeys(("kappa_tune", "runs", "sigma_count", "samples"), (1, ">=")),
+    **dict.fromkeys(("kappa_tune", "points", "runs", "sigma_count", "samples"), (1, ">=")),
     "mc_samples": (1000, ">="),
     "seed": (0, ">="),
 }

@@ -9,9 +9,10 @@ noise-free biases and the variances, and the per-candidate tables of the
 squared errors.  Every noise level takes a prefix of that grid and, through
 ``ThresholdTable.restrict``, of those tables at its own sigma: the
 thresholds scaled by sigma, the variances by sigma^2, and a read-only view of
-the first rows of every other table.  The oracle index and constants, the
-Lepskii limits and the squared errors read sigma from that grid and table,
-and u* = sigma^2 max_k W[m*, k]^2 of the constants from the table's W^2.
+the first rows of every other table, which holds the grid.  The oracle
+index and constants, the Lepskii limits and the squared errors read the grid
+and sigma from that restricted table, and u* = sigma^2 max_k W[m*, k]^2 of
+the constants from the table's W^2.
 The runner then replays seeded realizations in blocks of runs.  Run r at
 noise level si draws the stream of ``np.random.Philox(seed)`` with seed
 ``SeedSequence((master, si, r)).generate_state(1, uint64)``; Philox is keyed
@@ -32,7 +33,12 @@ formed only when some pending run's adjacent distance there is not over its
 limit by more than a rounding margin of 8 (n+1) 2^-53 relative; rows whose
 runs would all be rejected are skipped, and the picks do not change.
 Blocks hold ``_BLOCK_ELEMENTS // n`` runs, so memory does not grow with the
-number of runs.  Each noise level is one cell (``score_cell`` in
+number of runs.  Per noise level the picks then meet in one table, a pick
+per run or one for every run under each selector: the oracle index, the
+noise-level pick, the per-run optimum of the squared errors and the
+streamed picks; one loop summarises the config's selectors from it, and
+``write_results`` writes each selector's row of results.csv and its rows of
+selections.csv in one pass.  Each noise level is one cell (``score_cell`` in
 ``run_experiment``): it reads only the sweep's tables and writes only arrays
 of its own, so ``parallel.map_on_cpus`` scores the cells on a pool of at most
 one thread per CPU of the process's affinity set (serially for one CPU or one
@@ -217,23 +223,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def score_cell(si: int) -> SigmaCell:
         """The cell of noise level si; it writes only arrays of its own."""
-        grid = grids[si]
-        sigma, thresholds = grid.sigma, tables.restrict(grid)
-        mm = grid.m_max
+        thresholds = tables.restrict(grids[si])
+        grid, sigma, mm = thresholds.grid, thresholds.sigma, thresholds.m_max
         m_star = oracle_select(thresholds.bias, thresholds.variance, config.beta)
         u_star = sigma**2 * float(thresholds.w_sq[m_star].max())  # sigma^2 max_k lam_k q_{alpha_m*}(lam_k)^2
         c1, c2 = oracle_constants(grid, m_star, u_star, config.beta, config.gamma)
-        fixed_choices = {"oracle": m_star, "noise-level": noise_level_select(grid)}
-
-        limits = {}
-        if "solit" in config.selectors:
-            limits["solit"] = thresholds.kappa
-        if "lepskii" in config.selectors:
-            limits["lepskii"] = lepskii_limits(grid, config.kappa_tune)
+        limits = {"solit": thresholds.kappa, "lepskii": lepskii_limits(grid, config.kappa_tune)}
+        limits = {name: limit for name, limit in limits.items() if name in config.selectors}
 
         err_sq = np.empty((scored, mm + 1))
-        # the oracle and noise-level picks hold for every run; the others are set per block
-        picks = {name: np.full(scored, fixed_choices.get(name, 0)) for name in config.selectors}
+        streamed = {name: np.empty(scored, dtype=int) for name in limits}
         for start in range(0, scored, block):
             stop = min(start + block, scored)
             runs = slice(start, stop)
@@ -247,14 +246,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             eps += problem.data_truth
             eps *= eps
             for name, idx in stream_select(eps, thresholds.weights, limits).items():
-                picks[name][runs] = idx
-            if "optimal" in picks:
-                picks["optimal"][runs] = optimal_select(err_sq[runs])
+                streamed[name][runs] = idx
+        # every selector's picks, one per scored run or one for all runs
+        picks = {"oracle": m_star, "noise-level": noise_level_select(grid), "optimal": optimal_select(err_sq),
+                 **streamed}
         err_sq = np.broadcast_to(err_sq, (config.runs, mm + 1))
         every_run = np.arange(config.runs)
         summaries = {}
-        for name, idx in picks.items():
-            idx = np.broadcast_to(idx, config.runs)
+        for name in config.selectors:
+            idx = np.broadcast_to(picks[name], config.runs)
             vals = err_sq[every_run, idx]
             stderr = float(np.std(vals, ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
             summaries[name] = SelectorSummary(mse=math.fsum(vals) / config.runs, stderr=stderr,
@@ -332,25 +332,20 @@ def write_results(result: ExperimentResult, path: str) -> None:
     threads that score the cells and the Monte Carlo block budget
     (``read_results`` ignores the last four)."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*RESULTS_COLUMNS, "poa"])
-        for cell in result.cells:
-            for name in result.config.selectors:
-                s = cell.selectors[name]
-                writer.writerow([_fmt(cell.sigma), name, _fmt(s.mse), _fmt(s.stderr), cell.m_star,
-                                 _fmt(cell.r_mstar), _fmt(cell.c1), _fmt(cell.c2), _fmt(cell.poa)])
+    with (open(os.path.join(path, "results.csv"), "w", newline="") as results_fh,
+          open(os.path.join(path, "selections.csv"), "w", newline="") as selections_fh):
+        results, selections = csv.writer(results_fh), csv.writer(selections_fh)
+        results.writerow([*RESULTS_COLUMNS, "poa"])
+        selections.writerow(SELECTIONS_COLUMNS)
+        for cell, name in itertools.product(result.cells, result.config.selectors):
+            s = cell.selectors[name]
+            results.writerow([_fmt(cell.sigma), name, _fmt(s.mse), _fmt(s.stderr), cell.m_star,
+                              _fmt(cell.r_mstar), _fmt(cell.c1), _fmt(cell.c2), _fmt(cell.poa)])
+            for idx in np.nonzero(s.histogram)[0]:
+                selections.writerow([_fmt(cell.sigma), name, int(idx), int(s.histogram[idx])])
     for i, cell in enumerate(result.cells):
         with open(os.path.join(path, f"grid_{i:03d}.csv"), "w") as fh:
             fh.write(cell.grid.to_csv())
-    with open(os.path.join(path, "selections.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SELECTIONS_COLUMNS)
-        for cell in result.cells:
-            for name in result.config.selectors:
-                hist = cell.selectors[name].histogram
-                for idx in np.nonzero(hist)[0]:
-                    writer.writerow([_fmt(cell.sigma), name, int(idx), int(hist[idx])])
     meta = {
         "config": asdict(result.config),
         "seed": result.config.seed,

@@ -36,14 +36,15 @@ class ThresholdTable:
     variances sigma^2 ||W[m1] - W[m2]||^2.  Per candidate, for the squared
     errors ||W[m] y - f||^2 (``errors``), with B = W g - f: the ||B_m||^2
     (``b_sq``), W * B (``wb``) and W^2 (``w_sq``), whose row maxima also give
-    the weak variances sigma^2 max_k W[m, k]^2.  Also the noise level sigma
+    the weak variances sigma^2 max_k W[m, k]^2.  Also the candidate grid the
+    tables are of (``grid``), whose noise level sigma and m_max they are at,
     and W itself (``weights``).  Every array is held as a read-only view, so
     neither building nor ``restrict`` copies a (k, n) table."""
 
     kappa: np.ndarray
     bias: np.ndarray
     variance: np.ndarray
-    sigma: float
+    grid: CandidateGrid
     weights: np.ndarray
     b_sq: np.ndarray
     wb: np.ndarray
@@ -51,33 +52,41 @@ class ThresholdTable:
 
     def __post_init__(self):
         for item in fields(self):
-            if item.name != "sigma":
+            if item.name != "grid":
                 table = np.asarray(getattr(self, item.name), dtype=float).view()
                 table.flags.writeable = False
                 object.__setattr__(self, item.name, table)
         if self.weights.ndim != 2:
             raise InvalidParameterError("weights must hold one row per candidate")
-        k, n = self.weights.shape
-        shapes = {"kappa": (k, k), "bias": (k, k), "variance": (k, k), "b_sq": (k,), "wb": (k, n), "w_sq": (k, n)}
+        k, n = self.grid.m_max + 1, self.weights.shape[1]
+        shapes = {"kappa": (k, k), "bias": (k, k), "variance": (k, k), "weights": (k, n), "b_sq": (k,),
+                  "wb": (k, n), "w_sq": (k, n)}
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
-                raise InvalidParameterError(f"{name} must have shape {shape} for weights of shape {(k, n)}")
+                raise InvalidParameterError(f"{name} must have shape {shape} for a grid of {k} candidates")
+
+    @property
+    def sigma(self) -> float:
+        """The noise level the tables are at, their grid's."""
+        return self.grid.sigma
 
     @property
     def m_max(self) -> int:
-        return self.kappa.shape[0] - 1
+        return self.grid.m_max
 
     def restrict(self, grid: CandidateGrid) -> "ThresholdTable":
         """The tables of ``grid``, a prefix of the grid these were built for,
         at its own noise level: kappa is linear in sigma, the variances are
         quadratic in it, and they are rescaled; every other table does not
-        depend on sigma and is a view of this table's first rows."""
+        depend on sigma and is a view of this table's first rows.  Raises
+        unless the alphas of ``grid`` are the first alphas of this table's
+        grid, bit for bit."""
         k = grid.alphas.size
-        if k > self.kappa.shape[0]:
+        if grid.alphas.tobytes() != self.grid.alphas[:k].tobytes():
             raise InvalidParameterError("a table restricts only to a prefix of its own grid")
         scale = grid.sigma / self.sigma
         return replace(self, kappa=scale * self.kappa[:k, :k], variance=scale**2 * self.variance[:k, :k],
-                       sigma=grid.sigma, bias=self.bias[:k, :k], weights=self.weights[:k],
+                       grid=grid, bias=self.bias[:k, :k], weights=self.weights[:k],
                        b_sq=self.b_sq[:k], wb=self.wb[:k], w_sq=self.w_sq[:k])
 
     def errors(self, eps: np.ndarray) -> np.ndarray:
@@ -134,7 +143,7 @@ def build_thresholds(
     b_sq = np.einsum("ij,ij->i", wb, wb)
     wb *= w_rows
     np.multiply(w_rows, w_rows, out=w_sq)
-    return ThresholdTable(kappa, bias, variance, sigma, w_rows, b_sq, wb, w_sq)
+    return ThresholdTable(kappa, bias, variance, grid, w_rows, b_sq, wb, w_sq)
 
 
 def solit_select(bhat: np.ndarray, kappa: np.ndarray) -> int | np.ndarray:

@@ -251,11 +251,16 @@ def test_too_few_mc_samples_give_one_message(samples, capsys):
         (("--beta", "nan"), "option 'beta' must be of type float, not nan"),
         (("--gamma", "0"), "option 'gamma' must be > 0, not 0.0"),
         (("--landweber-step", "inf"), "option 'landweber_step' must be of type float, not inf"),
+        (("--points", "0"), "option 'points' must be >= 1, not 0"),
+        (("--alpha", "0"), "option 'alpha' must be > 0, not 0.0"),
+        (("--alpha", "-1"), "option 'alpha' must be > 0, not -1.0"),
+        (("--alpha", "nan"), "option 'alpha' must be of type float, not nan"),
     ],
-    ids=["beta-and-theta", "beta", "gamma", "landweber-step"],
+    ids=["beta-and-theta", "beta", "gamma", "landweber-step", "points", "alpha-0", "alpha-negative", "alpha-nan"],
 )
 def test_reconstruct_at_a_fixed_alpha_checks_every_flag(flags, message, capsys):
-    # --alpha skips the grid and the thresholds, which read theta, beta and gamma
+    # --alpha skips the grid and the thresholds, which read theta, beta and
+    # gamma; a second --alpha in the flags replaces the first
     argv = ["reconstruct", "--problem", "heat", "--n", "24", "--filter", "tikhonov", "--sigma", "1e-3",
             "--alpha", "1e-3", *flags]
     assert main(argv) == 2

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -232,6 +233,29 @@ class TestRunExperiment:
             for name in cfg.selectors:
                 idx = int(np.argmax(cell.selectors[name].histogram))
                 assert cell.selectors[name].mse == pytest.approx(bias_sq[idx], rel=1e-10)
+
+    @pytest.mark.parametrize("noise_free", [False, True])
+    def test_a_selector_subset_scores_like_the_full_sweep(self, noise_free, tmp_path):
+        # a reordered subset without solit: each selector's summary is the
+        # five-selector sweep's, bit for bit, and the rows keep the config's order
+        subset = ("noise-level", "lepskii", "optimal")
+        full = run_experiment(ExperimentConfig(**SMALL, noise_free=noise_free))
+        part = run_experiment(ExperimentConfig(**SMALL, noise_free=noise_free, selectors=subset))
+        for cf, cp in zip(full.cells, part.cells):
+            assert list(cp.selectors) == list(subset)
+            assert (cp.m_star, cp.r_mstar, cp.c1, cp.c2) == (cf.m_star, cf.r_mstar, cf.c1, cf.c2)
+            for name in subset:
+                a, b = cf.selectors[name], cp.selectors[name]
+                assert (b.mse, b.stderr) == (a.mse, a.stderr), name
+                assert b.histogram.tobytes() == a.histogram.tobytes(), name
+        write_results(part, str(tmp_path))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = [(float(row["sigma"]), row["selector"]) for row in csv.DictReader(fh)]
+        assert rows == [(cell.sigma, name) for cell in part.cells for name in subset]
+        with open(tmp_path / "selections.csv", newline="") as fh:
+            blocks = [key for key, _ in itertools.groupby((float(row["sigma"]), row["selector"])
+                                                          for row in csv.DictReader(fh))]
+        assert blocks == rows
 
     def test_optimal_dominates_every_selector(self):
         # optimal is the per-run argmin, so its MSE is a pathwise lower bound

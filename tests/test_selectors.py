@@ -132,12 +132,21 @@ class TestBuildThresholds:
                 with pytest.raises(ValueError):
                     view[0] = 0.0
 
-    def test_restrict_needs_a_built_table_and_a_prefix(self, small_heat):
+    def test_restrict_needs_a_built_table_and_a_prefix(self, small_heat, small_antiderivative):
         spec = FilterSpec("tikhonov")
         small, large = build_grid(small_heat, spec, np.array([1e-2, 1e-4]), theta=2.0)
         tt = build_thresholds(small_heat, spec, small)
         with pytest.raises(InvalidParameterError):
             tt.restrict(large)
+        # grids no longer than the table's own, but not its prefix: another
+        # problem's, and the same problem's at another theta
+        deep = build_thresholds(small_heat, spec, build_grid(small_heat, spec, 1e-6, theta=2.0))
+        foreign = build_grid(small_antiderivative, spec, 1e-2, theta=2.0)
+        other_theta = build_grid(small_heat, spec, 1e-4, theta=3.0)
+        for grid in (foreign, other_theta):
+            assert grid.m_max < deep.m_max
+            with pytest.raises(InvalidParameterError, match="a table restricts only to a prefix of its own grid"):
+                deep.restrict(grid)
         for shape_change in ({"bias": tt.bias[1:, 1:]}, {"weights": tt.weights[1:]}, {"wb": tt.wb[:, 1:]}):
             with pytest.raises(InvalidParameterError):
                 dataclasses.replace(tt, **shape_change)
